@@ -3,7 +3,8 @@ verification sweeps, and micro-benchmarks.
 
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 size guard exceeded
-(override with --force).
+(override with --force), 5 internal error (an exact division left a
+remainder).
 """
 
 from __future__ import annotations
@@ -12,30 +13,26 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 
-from .arith import binom, factorial_superproduct
+from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import GrassmannIndex, enumerate_indices, leq, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
-    ROUTE_PRODUCT,
-    ROUTE_RECURRENCE,
-    ROUTE_SUM,
-    ROUTE_WEYMAN,
     ROUTES,
     MultiplicityRecord,
     RouteInapplicableError,
+    _evaluate,
+    _refusal,
+    _require_pair,
     mult_det,
-    mult_product,
-    mult_rec,
-    mult_sum,
-    mult_weyman,
 )
 
 DEFAULT_GUARD = 12
@@ -93,46 +90,10 @@ def _parse_entries(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _applicable(route: str, i: GrassmannIndex, j: GrassmannIndex) -> bool:
-    if route == ROUTE_PRODUCT:
-        return j.entries[-1] <= i.entries[0]
-    if route == ROUTE_WEYMAN:
-        return j.entries == tuple(range(1, j.d + 1))
-    return True
-
-
-def _inapplicable_message(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str:
-    if route == ROUTE_PRODUCT:
-        return (
-            f"route 'product' needs j_d <= i_1, "
-            f"got j_d={j.entries[-1]} > i_1={i.entries[0]}"
-        )
-    return f"route 'weyman' is defined only for j = (1..d), got j={j}"
-
-
-def _route_value(route: str, i: GrassmannIndex, j: GrassmannIndex, rec_caches: dict) -> int:
-    if route == ROUTE_DETERMINANT:
-        return mult_det(i, j)
-    if route == ROUTE_RECURRENCE:
-        return mult_rec(i, j, rec_caches.setdefault(j.entries, {}))
-    if route == ROUTE_SUM:
-        return mult_sum(i, j)
-    if route == ROUTE_PRODUCT:
-        return mult_product(i, j)
-    if route == ROUTE_WEYMAN:
-        return mult_weyman(i)
-    raise ValueError(f"unknown route {route!r}")
-
-
 def _normalize_routes(route_args) -> tuple[str, ...] | None:
     if not route_args:
         return None
-    chosen = set()
-    for name in route_args:
-        if name == "all":
-            chosen.update(ROUTES)
-        else:
-            chosen.add(name)
+    chosen = set(ROUTES) if "all" in route_args else set(route_args)
     return tuple(r for r in ROUTES if r in chosen)
 
 
@@ -166,8 +127,11 @@ def _render_rows(rows, fmt: str) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -190,23 +154,19 @@ def cmd_compute(args) -> int:
     j = validate(_parse_entries(args.j), args.n)
     if j.d != i.d:
         raise ValueError(f"--i and --j must have the same length, got {i.d} and {j.d}")
-    if not leq(j, i):
-        raise ValueError(
-            "cell not contained in variety (requires j <= i componentwise)"
-        )
-    requested = args.route or []
-    if not requested or "all" in requested:
-        routes = tuple(r for r in ROUTES if _applicable(r, i, j))
+    _require_pair(i, j)
+    if not args.route or "all" in args.route:
+        routes = tuple(r for r in ROUTES if not _refusal(r, i, j))
     else:
-        routes = tuple(r for r in ROUTES if r in set(requested))
+        routes = _normalize_routes(args.route)
         for route in routes:
-            if not _applicable(route, i, j):
-                raise RouteInapplicableError(_inapplicable_message(route, i, j))
+            if refusal := _refusal(route, i, j):
+                raise RouteInapplicableError(refusal)
     caches: dict = {}
-    rows = []
-    for route in routes:
-        value = _route_value(route, i, j, caches)
-        rows.append(_record_row(MultiplicityRecord(args.n, i, j, value, route)))
+    rows = [
+        _record_row(MultiplicityRecord(args.n, i, j, _evaluate(route, i, j, caches), route))
+        for route in routes
+    ]
     _emit(_render_rows(rows, args.format), args.out)
     return 0
 
@@ -225,11 +185,15 @@ def _table_rows_for_index(payload) -> list[tuple]:
         if not leq(j, i):
             continue
         for route in routes:
-            if not _applicable(route, i, j):
-                continue
-            value = _route_value(route, i, j, caches)
-            rows.append(_record_row(MultiplicityRecord(n, i, j, value, route)))
+            if not _refusal(route, i, j):
+                value = _evaluate(route, i, j, caches)
+                rows.append(_record_row(MultiplicityRecord(n, i, j, value, route)))
     return rows
+
+
+def _pool_size(jobs: int, shards: int, cpus: int) -> int:
+    """Worker processes for a sweep: at most one per shard and one per CPU."""
+    return min(jobs, shards, cpus)
 
 
 def run_table(req: TableRequest) -> str:
@@ -239,13 +203,14 @@ def run_table(req: TableRequest) -> str:
     if req.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {req.jobs}")
     payloads = [(req.n, idx.entries, req.routes) for idx in enumerate_indices(req.d, req.n)]
-    if req.jobs == 1:
+    workers = _pool_size(req.jobs, len(payloads), os.cpu_count() or 1)
+    if workers == 1:
         chunks = [_table_rows_for_index(p) for p in payloads]
     else:
         # Parallel over the outer index i; workers keep their own caches
         # and chunks are reassembled in submission order, so the bytes out
         # do not depend on the worker count.
-        with Pool(processes=req.jobs) as pool:
+        with Pool(processes=workers) as pool:
             chunks = pool.map(_table_rows_for_index, payloads)
     rows = [row for chunk in chunks for row in chunk]
     return _render_rows(rows, req.fmt)
@@ -270,94 +235,78 @@ def cmd_table(args) -> int:
 # verify
 
 
-def _note_mismatch(report, i, j, name_a, value_a, name_b, value_b) -> None:
-    if value_a != value_b:
-        report.mismatches.append(
-            {
-                "i": str(i),
-                "j": str(j),
-                "route_a": name_a,
-                "value_a": str(value_a),
-                "route_b": name_b,
-                "value_b": str(value_b),
-            }
-        )
+def _difference_eq_case(rng: random.Random) -> bool:
+    d = rng.randint(1, 3)
+    shifts = tuple(rng.randint(0, 4) for _ in range(d))
+    return check_difference_eq(shifts, (-3, 4)).ok
 
 
-def _identity_difference_eq(rng: random.Random, cases: int = 30) -> dict:
-    failures = 0
-    for _ in range(cases):
-        d = rng.randint(1, 3)
-        shifts = tuple(rng.randint(0, 4) for _ in range(d))
-        if not check_difference_eq(shifts, (-3, 4)).ok:
-            failures += 1
-    return {"name": "difference_eq", "cases": cases, "failures": failures, "passed": failures == 0}
+def _shift_identity_case(rng: random.Random) -> bool:
+    d = rng.randint(1, 3)
+    shifts = tuple(rng.randint(0, 3) for _ in range(d))
+    return check_shift_identity(shifts, rng.randint(1, d), (-3, 4)).ok
 
 
-def _identity_shift(rng: random.Random, cases: int = 30) -> dict:
-    failures = 0
-    for _ in range(cases):
-        d = rng.randint(1, 3)
-        shifts = tuple(rng.randint(0, 3) for _ in range(d))
-        q = rng.randint(1, d)
-        if not check_shift_identity(shifts, q, (-3, 4)).ok:
-            failures += 1
-    return {"name": "shift_identity", "cases": cases, "failures": failures, "passed": failures == 0}
+def _vandermonde_form_case(rng: random.Random) -> bool:
+    d = rng.randint(1, 5)
+    t = [rng.randint(-8, 8) for _ in range(d)]
+    k = [rng.randint(0, 4) for _ in range(d)]
+    lhs = vandermonde([a + b for a, b in zip(t, k)])
+    rhs = factorial_superproduct(d) * determinant_bareiss(build_shifted_vandermonde_matrix(t, k))
+    return lhs == rhs
 
 
-def _identity_vandermonde_form(rng: random.Random, cases: int = 200) -> dict:
-    failures = 0
-    for _ in range(cases):
-        d = rng.randint(1, 5)
-        t = [rng.randint(-8, 8) for _ in range(d)]
-        k = [rng.randint(0, 4) for _ in range(d)]
-        lhs = vandermonde([a + b for a, b in zip(t, k)])
-        rhs = factorial_superproduct(d) * determinant_bareiss(
-            build_shifted_vandermonde_matrix(t, k)
-        )
-        if lhs != rhs:
-            failures += 1
-    return {"name": "vandermonde_form", "cases": cases, "failures": failures, "passed": failures == 0}
+def _alternating_sum_case(rng: random.Random) -> bool:
+    s, t, p = rng.randint(0, 6), rng.randint(-10, 10), rng.randint(1, 6)
+    lhs = sum((-1) ** k * binom(s, k) * binom(t + k, p - 1) for k in range(s + 1))
+    return lhs == (-1) ** s * binom(t, p - 1 - s)
 
 
-def _identity_alternating_sum(rng: random.Random, cases: int = 200) -> dict:
-    failures = 0
-    for _ in range(cases):
-        s = rng.randint(0, 6)
-        t = rng.randint(-10, 10)
-        p = rng.randint(1, 6)
-        lhs = sum((-1) ** k * binom(s, k) * binom(t + k, p - 1) for k in range(s + 1))
-        if lhs != (-1) ** s * binom(t, p - 1 - s):
-            failures += 1
-    return {"name": "alternating_sum", "cases": cases, "failures": failures, "passed": failures == 0}
+# (name, one seeded case, cases); the order fixes which cases a seed draws.
+_IDENTITY_SUITES = (
+    ("difference_eq", _difference_eq_case, 30),
+    ("shift_identity", _shift_identity_case, 30),
+    ("vandermonde_form", _vandermonde_form_case, 200),
+    ("alternating_sum", _alternating_sum_case, 200),
+)
+
+
+def _run_identity_suite(rng: random.Random, name: str, case, cases: int) -> dict:
+    failures = sum(1 for _ in range(cases) if not case(rng))
+    return {"name": name, "cases": cases, "failures": failures, "passed": failures == 0}
 
 
 def run_verification(d: int, n: int, seed: int = 0) -> VerifyReport:
-    """Check determinant == recurrence == sum on every pair j <= i of
-    I(d, n), product and base-cell routes where applicable, then run the
-    seeded random identity suites."""
+    """Check the determinant against every other route that covers the
+    pair, on every pair j <= i of I(d, n), then run the seeded random
+    identity suites."""
     report = VerifyReport(d=d, n=n, seed=seed)
     start = time.perf_counter()
     indices = list(enumerate_indices(d, n))
-    base = tuple(range(1, d + 1))
     for j in indices:
-        cache: dict = {}
+        caches: dict = {}
         for i in indices:
             if not leq(j, i):
                 continue
             det = mult_det(i, j)
             report.pairs_checked += 1
-            _note_mismatch(report, i, j, "determinant", det, "recurrence", mult_rec(i, j, cache))
-            _note_mismatch(report, i, j, "determinant", det, "sum", mult_sum(i, j))
-            if j.entries[-1] <= i.entries[0]:
-                _note_mismatch(report, i, j, "determinant", det, "product", mult_product(i, j))
-            if j.entries == base:
-                _note_mismatch(report, i, j, "determinant", det, "weyman", mult_weyman(i))
+            for route in ROUTES:
+                if route == ROUTE_DETERMINANT or _refusal(route, i, j):
+                    continue
+                value = _evaluate(route, i, j, caches)
+                if value != det:
+                    report.mismatches.append(
+                        {
+                            "i": str(i),
+                            "j": str(j),
+                            "route_a": ROUTE_DETERMINANT,
+                            "value_a": str(det),
+                            "route_b": route,
+                            "value_b": str(value),
+                        }
+                    )
     rng = random.Random(seed)
-    report.identities_checked.append(_identity_difference_eq(rng))
-    report.identities_checked.append(_identity_shift(rng))
-    report.identities_checked.append(_identity_vandermonde_form(rng))
-    report.identities_checked.append(_identity_alternating_sum(rng))
+    report.identities_checked.extend(_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES)
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
@@ -382,17 +331,7 @@ def _render_verify_text(report: VerifyReport) -> str:
 
 
 def _render_verify_json(report: VerifyReport) -> str:
-    payload = {
-        "d": report.d,
-        "n": report.n,
-        "seed": report.seed,
-        "pairs_checked": report.pairs_checked,
-        "mismatches": report.mismatches,
-        "identities_checked": report.identities_checked,
-        "elapsed_seconds": report.elapsed_seconds,
-        "ok": report.ok,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({**asdict(report), "ok": report.ok}, indent=2) + "\n"
 
 
 def cmd_verify(args) -> int:
@@ -416,12 +355,12 @@ def cmd_bench(args) -> int:
     pairs = [(i, j) for i in indices for j in indices if leq(j, i)]
     lines = []
     for route in routes:
-        subset = [(i, j) for i, j in pairs if _applicable(route, i, j)]
+        subset = [(i, j) for i, j in pairs if not _refusal(route, i, j)]
         start = time.perf_counter()
         for _ in range(args.reps):
             caches: dict = {}
             for i, j in subset:
-                _route_value(route, i, j, caches)
+                _evaluate(route, i, j, caches)
         elapsed = time.perf_counter() - start
         done = len(subset) * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")
@@ -509,6 +448,9 @@ def main(argv=None) -> int:
     except RouteInapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InexactDivisionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

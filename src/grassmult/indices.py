@@ -44,9 +44,13 @@ class GrassmannIndex:
 def validate(entries: Sequence[int], n: int) -> GrassmannIndex:
     """Build an index after checking every defining constraint.
 
-    Raises ValueError naming the first offending position.
+    Raises ValueError naming the first offending position. Entries must
+    be ints already: floats, bools and strings are rejected, not coerced.
     """
-    tup = tuple(int(e) for e in entries)
+    tup = tuple(entries)
+    for pos, e in enumerate(tup, start=1):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"entry {e!r} at position {pos} is not an integer")
     if not tup:
         raise ValueError("index vector must not be empty")
     if n < 1:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arith import binom, exact_div, factorial_superproduct
+from .difference import eval_poly
 from .indices import GrassmannIndex, leq, lower_neighbor_entries
-from .matrices import build_binomial_matrix, determinant_bareiss, vandermonde
+from .matrices import determinant_bareiss, vandermonde
 
 __all__ = [
     "ROUTE_DETERMINANT",
@@ -125,11 +126,9 @@ def degree(i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 
 def mult_det(i: GrassmannIndex, j: GrassmannIndex) -> int:
-    """Multiplicity as a signed binomial determinant (production route)."""
-    _require_pair(i, j)
-    shifts = s_vector(i, j)
-    sign = -1 if sum(shifts) % 2 else 1
-    return sign * determinant_bareiss(build_binomial_matrix(i.entries, shifts))
+    """Multiplicity as a signed binomial determinant (production route):
+    the determinant family eval_poly at point i with shifts s_vector(i, j)."""
+    return eval_poly(s_vector(i, j), i.entries)
 
 
 def mult_rec(
@@ -231,10 +230,8 @@ def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
     Raises RouteInapplicableError unless j_d <= i_1.
     """
     _require_pair(i, j)
-    if j.entries[-1] > i.entries[0]:
-        raise RouteInapplicableError(
-            f"product form needs j_d <= i_1, got j_d={j.entries[-1]} > i_1={i.entries[0]}"
-        )
+    if refusal := _refusal(ROUTE_PRODUCT, i, j):
+        raise RouteInapplicableError(refusal)
     return exact_div(vandermonde(i.entries), factorial_superproduct(i.d))
 
 
@@ -271,3 +268,37 @@ def mult_weyman(i: GrassmannIndex) -> int:
         return 1
     rows = [[binom(a + b, a) for b in coords.beta] for a in coords.alpha]
     return determinant_bareiss(rows)
+
+
+# ---------------------------------------------------------------------------
+# route table: the scope and the call of every route, stated once for all
+# callers (the CLI commands and mult_product's guard)
+
+
+def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
+    """Why route does not cover the pair j <= i, or None when it does."""
+    if route == ROUTE_PRODUCT and j.entries[-1] > i.entries[0]:
+        return (
+            f"route 'product' needs j_d <= i_1, "
+            f"got j_d={j.entries[-1]} > i_1={i.entries[0]}"
+        )
+    if route == ROUTE_WEYMAN and j.entries != tuple(range(1, j.d + 1)):
+        return f"route 'weyman' is defined only for j = (1..d), got j={j}"
+    return None
+
+
+def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, rec_caches: dict) -> int:
+    """Value of route on a pair it covers; rec_caches keeps one recurrence
+    cache per j. Route functions are looked up by module name at each call,
+    never held, so a wrapper set on this module sees every call."""
+    if route == ROUTE_DETERMINANT:
+        return mult_det(i, j)
+    if route == ROUTE_RECURRENCE:
+        return mult_rec(i, j, rec_caches.setdefault(j.entries, {}))
+    if route == ROUTE_SUM:
+        return mult_sum(i, j)
+    if route == ROUTE_PRODUCT:
+        return mult_product(i, j)
+    if route == ROUTE_WEYMAN:
+        return mult_weyman(i)
+    raise ValueError(f"unknown route {route!r}")

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import grassmult.multiplicity as multiplicity
+from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
     TableRequest,
     VerifyReport,
+    _pool_size,
     _render_verify_text,
     main,
     run_table,
@@ -71,7 +75,7 @@ class TestCompute:
         )
         assert code == 3
         assert out == ""
-        assert "j_d <= i_1" in err
+        assert err == "error: route 'product' needs j_d <= i_1, got j_d=3 > i_1=2\n"
 
     def test_weyman_inapplicable(self, capsys):
         code, _, err = run_cli(
@@ -79,7 +83,7 @@ class TestCompute:
             "compute", "--n", "4", "--i", "2,4", "--j", "1,3", "--route", "weyman",
         )
         assert code == 3
-        assert "weyman" in err
+        assert err == "error: route 'weyman' is defined only for j = (1..d), got j=1-3\n"
 
     def test_containment_violation(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--n", "4", "--i", "2,3", "--j", "1,4")
@@ -100,6 +104,18 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "--n", "4", "--i", "4,2", "--j", "1,2")
         assert code == 2
         assert "strictly increasing" in err
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(i, j):
+            raise InexactDivisionError("7 is not divisible by 2")
+
+        monkeypatch.setattr(multiplicity, "mult_det", broken)
+        code, out, err = run_cli(
+            capsys, "compute", "--n", "4", "--i", "2,4", "--j", "1,2", "--route", "determinant"
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("internal error:")
 
 
 class TestTable:
@@ -160,6 +176,19 @@ class TestTable:
         text = target.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "n,d,i,j,route,value"
         assert len(text.splitlines()) == 4
+
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(capsys, "table", "--d", "1", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert not target.exists()
+
+    def test_pool_size_clamps(self):
+        assert _pool_size(10**6, 10, 2) == 2
+        assert _pool_size(3, 2, 8) == 2
+        assert _pool_size(1, 10, 8) == 1
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(
@@ -227,6 +256,14 @@ class TestVerify:
         assert "pairs_checked=55" in out
         assert "mismatches=0" in out
 
+    def test_route_table_catches_a_wrong_route(self, monkeypatch):
+        true_sum = multiplicity.mult_sum
+        monkeypatch.setattr(multiplicity, "mult_sum", lambda i, j: true_sum(i, j) + 1)
+        report = run_verification(2, 4)
+        assert not report.ok
+        assert len(report.mismatches) == report.pairs_checked == 20
+        assert {item["route_b"] for item in report.mismatches} == {"sum"}
+
     def test_guard_applies(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--n", "20")
         assert code == 4
@@ -247,3 +284,29 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--d", "1", "--n", "2", "--reps", "0")
         assert code == 2
         assert "--reps" in err
+
+
+# sha256 of the stdout bytes; any change to rows, order or rendering shows here.
+GOLDEN = [
+    (
+        ("table", "--d", "3", "--n", "7", "--route", "all"),
+        "c206e4a51df458342b8831982f7859dbce854a1f948d6c5d11a6a2b9e82566d3",
+    ),
+    (
+        ("table", "--d", "3", "--n", "7", "--route", "all", "--format", "json"),
+        "ad40b4345af6549e8164f073507907e4cd8ca042074d1d2aec657372d90ddbd6",
+    ),
+    (
+        ("compute", "--n", "7", "--i", "3,5,7", "--j", "1,2,3", "--route", "all",
+         "--format", "json"),
+        "3fa115b08288a606c20c77a3503983acf86a9b1c4e77c6e0d8d5a52950df714e",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["table_csv", "table_json", "compute_json"])
+def test_golden_bytes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -62,6 +62,11 @@ class TestValidate:
         with pytest.raises(ValueError, match="n must be >= 1"):
             validate((1,), 0)
 
+    @pytest.mark.parametrize("entries", [(2.7, 4), (True, 4), ("2", 4)])
+    def test_rejects_non_int_entries(self, entries):
+        with pytest.raises(ValueError, match="at position 1 is not an integer"):
+            validate(entries, 4)
+
 
 class TestOrder:
     def test_leq_basic(self):
