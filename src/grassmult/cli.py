@@ -4,7 +4,7 @@ verification sweeps, and micro-benchmarks.
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 size guard exceeded
 (override with --force), 5 internal error (an exact division left a
-remainder).
+remainder, or a computed record broke an invariant).
 """
 
 from __future__ import annotations
@@ -18,21 +18,24 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from multiprocessing import Pool
 
 from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
-from .indices import GrassmannIndex, enumerate_indices, leq, validate
+from .indices import enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
     ROUTES,
+    InvariantError,
     MultiplicityRecord,
     RouteInapplicableError,
     _evaluate,
+    _interval_entries,
     _refusal,
     _require_pair,
-    mult_det,
+    _sweep,
 )
 
 DEFAULT_GUARD = 12
@@ -126,14 +129,28 @@ def _render_rows(rows, fmt: str) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
+    """Write text to stdout, or to out_path through a temp file beside it
+    that is moved into place, so the path never holds a partial write."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            # A device or a pipe is written in place; replacing it would remove it.
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+            return
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _check_guard(d: int, n: int, guard: int, force: bool) -> None:
@@ -175,20 +192,8 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _table_rows_for_index(payload) -> list[tuple]:
-    n, i_entries, routes = payload
-    d = len(i_entries)
-    i = GrassmannIndex(tuple(i_entries), n)
-    caches: dict = {}
-    rows = []
-    for j in enumerate_indices(d, n):
-        if not leq(j, i):
-            continue
-        for route in routes:
-            if not _refusal(route, i, j):
-                value = _evaluate(route, i, j, caches)
-                rows.append(_record_row(MultiplicityRecord(n, i, j, value, route)))
-    return rows
+def _table_columns(payload) -> list[list]:
+    return [column for _, column in _sweep(*payload)]
 
 
 def _pool_size(jobs: int, shards: int, cpus: int) -> int:
@@ -202,30 +207,36 @@ def run_table(req: TableRequest) -> str:
     _check_guard(req.d, req.n, req.guard, req.force)
     if req.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {req.jobs}")
-    payloads = [(req.n, idx.entries, req.routes) for idx in enumerate_indices(req.d, req.n)]
-    workers = _pool_size(req.jobs, len(payloads), os.cpu_count() or 1)
+    cells = list(enumerate_indices(req.d, req.n))
+    workers = _pool_size(req.jobs, len(cells), os.cpu_count() or 1)
+    # Cells are dealt round-robin: up-sets shrink along the cell order, so
+    # contiguous blocks would leave the first worker most of the pairs.
+    payloads = [(cells[w::workers], req.routes) for w in range(workers)]
     if workers == 1:
-        chunks = [_table_rows_for_index(p) for p in payloads]
+        dealt = [_table_columns(payloads[0])]
     else:
-        # Parallel over the outer index i; workers keep their own caches
-        # and chunks are reassembled in submission order, so the bytes out
-        # do not depend on the worker count.
         with Pool(processes=workers) as pool:
-            chunks = pool.map(_table_rows_for_index, payloads)
-    rows = [row for chunk in chunks for row in chunk]
+            dealt = pool.map(_table_columns, payloads)
+    # Each column lists its pairs by i, so walking every i and the cells
+    # below it takes each column's values in order, whatever the workers.
+    streams = {}
+    for (dealt_cells, _), columns in zip(payloads, dealt):
+        streams.update((j.entries, (j, iter(col))) for j, col in zip(dealt_cells, columns))
+    width = len(req.routes)
+    rows = []
+    for i in cells:
+        for floor in _interval_entries(cells[0].entries, i.entries):
+            j, stream = streams[floor]
+            for route, value in zip(req.routes, islice(stream, width)):
+                if value is not None:
+                    rows.append(_record_row(MultiplicityRecord(req.n, i, j, value, route)))
     return _render_rows(rows, req.fmt)
 
 
 def cmd_table(args) -> int:
     req = TableRequest(
-        d=args.d,
-        n=args.n,
-        routes=_normalize_routes(args.route) or (ROUTE_DETERMINANT,),
-        fmt=args.format,
-        out=args.out,
-        jobs=args.jobs,
-        guard=args.guard,
-        force=args.force,
+        d=args.d, n=args.n, routes=_normalize_routes(args.route) or (ROUTE_DETERMINANT,),
+        fmt=args.format, out=args.out, jobs=args.jobs, guard=args.guard, force=args.force,
     )
     _emit(run_table(req), req.out)
     return 0
@@ -282,29 +293,19 @@ def run_verification(d: int, n: int, seed: int = 0) -> VerifyReport:
     identity suites."""
     report = VerifyReport(d=d, n=n, seed=seed)
     start = time.perf_counter()
-    indices = list(enumerate_indices(d, n))
-    for j in indices:
-        caches: dict = {}
-        for i in indices:
-            if not leq(j, i):
-                continue
-            det = mult_det(i, j)
+    cells = list(enumerate_indices(d, n))
+    width = len(ROUTES)
+    for j, (ups, column) in zip(cells, _sweep(cells, ROUTES)):
+        for p, i in enumerate(ups):
+            # ROUTES starts with the determinant, which covers every pair.
+            det, *others = column[p * width : (p + 1) * width]
             report.pairs_checked += 1
-            for route in ROUTES:
-                if route == ROUTE_DETERMINANT or _refusal(route, i, j):
-                    continue
-                value = _evaluate(route, i, j, caches)
-                if value != det:
-                    report.mismatches.append(
-                        {
-                            "i": str(i),
-                            "j": str(j),
-                            "route_a": ROUTE_DETERMINANT,
-                            "value_a": str(det),
-                            "route_b": route,
-                            "value_b": str(value),
-                        }
-                    )
+            for route, value in zip(ROUTES[1:], others):
+                if value is not None and value != det:
+                    report.mismatches.append(dict(
+                        i=str(i), j=str(j), route_a=ROUTE_DETERMINANT, value_a=str(det),
+                        route_b=route, value_b=str(value),
+                    ))
     rng = random.Random(seed)
     report.identities_checked.extend(_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES)
     report.elapsed_seconds = time.perf_counter() - start
@@ -351,21 +352,17 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     routes = _normalize_routes(args.route) or ROUTES
-    indices = list(enumerate_indices(args.d, args.n))
-    pairs = [(i, j) for i in indices for j in indices if leq(j, i)]
+    cells = list(enumerate_indices(args.d, args.n))
     lines = []
     for route in routes:
-        subset = [(i, j) for i, j in pairs if not _refusal(route, i, j)]
         start = time.perf_counter()
         for _ in range(args.reps):
-            caches: dict = {}
-            for i, j in subset:
-                _evaluate(route, i, j, caches)
+            pairs = sum(v is not None for _, column in _sweep(cells, (route,)) for v in column)
         elapsed = time.perf_counter() - start
-        done = len(subset) * args.reps
+        done = pairs * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")
         lines.append(
-            f"route={route} pairs={len(subset)} reps={args.reps} "
+            f"route={route} pairs={pairs} reps={args.reps} "
             f"seconds={elapsed:.4f} pairs_per_sec={rate:.1f}"
         )
     _emit("\n".join(lines) + "\n", args.out)
@@ -448,7 +445,7 @@ def main(argv=None) -> int:
     except RouteInapplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InexactDivisionError as exc:
+    except (InexactDivisionError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
     except ValueError as exc:

@@ -26,7 +26,7 @@ Routes:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,6 +43,7 @@ __all__ = [
     "ROUTE_WEYMAN",
     "ROUTES",
     "RouteInapplicableError",
+    "InvariantError",
     "FrobeniusCoordinates",
     "MultiplicityRecord",
     "s_vector",
@@ -66,6 +67,11 @@ ROUTES = (ROUTE_DETERMINANT, ROUTE_RECURRENCE, ROUTE_SUM, ROUTE_PRODUCT, ROUTE_W
 
 class RouteInapplicableError(ValueError):
     """The requested formula does not cover the given pair of indices."""
+
+
+class InvariantError(RuntimeError):
+    """A computed result broke an invariant of the package: a bug, never
+    bad input."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +99,9 @@ class MultiplicityRecord:
 
     def __post_init__(self) -> None:
         if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
+            raise InvariantError(f"unknown route {self.route!r}")
         if self.value < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.value}")
+            raise InvariantError(f"multiplicity must be >= 1, got {self.value}")
 
 
 def _require_pair(i: GrassmannIndex, j: GrassmannIndex) -> None:
@@ -271,8 +277,9 @@ def mult_weyman(i: GrassmannIndex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# route table: the scope and the call of every route, stated once for all
-# callers (the CLI commands and mult_product's guard)
+# route table: the scope and the call of every route, and the sweep over
+# all pairs, stated once for all callers (the CLI commands and
+# mult_product's guard)
 
 
 def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
@@ -302,3 +309,28 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, rec_caches: dict
     if route == ROUTE_WEYMAN:
         return mult_weyman(i)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _sweep(
+    cells: Sequence[GrassmannIndex], routes: Sequence[str]
+) -> Iterator[tuple[list[GrassmannIndex], list[int | None]]]:
+    """For each cell j of cells, its up-set {i >= j} in lexicographic order
+    and the flat column of route values over it: len(routes) entries per
+    pair, None where a route does not cover the pair.
+
+    The up-set is the interval from j to the top index and is walked from
+    the top down, so the first recurrence call fills j's whole column and
+    every later one is a cache hit; the cache is dropped with the cell.
+    """
+    width = len(routes)
+    for j in cells:
+        top = tuple(range(j.n - j.d + 1, j.n + 1))
+        ups = [GrassmannIndex(k, j.n) for k in _interval_entries(j.entries, top)]
+        column: list[int | None] = [None] * (len(ups) * width)
+        rec_caches: dict = {}
+        for p in range(len(ups) - 1, -1, -1):
+            i = ups[p]
+            for r, route in enumerate(routes):
+                if not _refusal(route, i, j):
+                    column[p * width + r] = _evaluate(route, i, j, rec_caches)
+        yield ups, column

@@ -2,9 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import resource
+import signal
+import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import grassmult.cli as cli
 import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
@@ -117,6 +125,15 @@ class TestCompute:
         assert out == ""
         assert err.startswith("internal error:")
 
+    def test_invalid_record_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(multiplicity, "mult_det", lambda i, j: 0)
+        code, out, err = run_cli(
+            capsys, "compute", "--n", "4", "--i", "2,4", "--j", "1,2", "--route", "determinant"
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: multiplicity must be >= 1, got 0\n"
+
 
 class TestTable:
     def test_single_route_counts(self, capsys):
@@ -147,6 +164,41 @@ class TestTable:
             TableRequest(d=2, n=5, routes=("determinant", "recurrence"), jobs=3)
         )
         assert serial == parallel
+
+    def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch):
+        # Measured with --jobs 1 and 2 before the sweep was dealt by cells.
+        pools = []
+        real_pool = cli.Pool
+
+        def counted_pool(processes):
+            pools.append(processes)
+            return real_pool(processes=processes)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "Pool", counted_pool)
+        code, out, _ = run_cli(
+            capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
+        )
+        assert code == 0
+        assert pools == [3]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
+        )
+
+    def test_recurrence_fills_each_value_once(self, monkeypatch):
+        fills = []
+        real_rec = multiplicity.mult_rec
+
+        def counted_rec(i, j, cache=None):
+            before = len(cache)
+            value = real_rec(i, j, cache)
+            fills.append(len(cache) - before)
+            return value
+
+        monkeypatch.setattr(multiplicity, "mult_rec", counted_rec)
+        run_table(TableRequest(d=3, n=7, routes=("recurrence",)))
+        assert len(fills) == 490
+        assert sum(fills) == 490
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="--jobs"):
@@ -184,6 +236,47 @@ class TestTable:
         assert out == ""
         assert err.startswith("error: cannot write")
         assert not target.exists()
+
+    def test_out_failed_write_keeps_old_file(self, tmp_path, cli_env):
+        target = tmp_path / "table.csv"
+        target.write_text("old\n", encoding="utf-8")
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+
+        # The table is far larger than the limit, so the write fails partway.
+        argv = ["table", "--d", "3", "--n", "7", "--out", str(target)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "grassmult", *argv],
+            capture_output=True, text=True, env=cli_env, preexec_fn=limit_file_size, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_out_pipe_is_written_in_place(self, capsys, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text("utf-8")), daemon=True
+        )
+        reader.start()
+        code, out, _ = run_cli(capsys, "table", "--d", "1", "--n", "2", "--out", str(pipe))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0
+        assert out == ""
+        assert received[0].splitlines() == [
+            "n,d,i,j,route,value",
+            "2,1,1,1,determinant,1",
+            "2,1,2,1,determinant,1",
+            "2,1,2,2,determinant,1",
+        ]
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
 
     def test_pool_size_clamps(self):
         assert _pool_size(10**6, 10, 2) == 2

@@ -9,6 +9,7 @@ from grassmult.indices import GrassmannIndex, enumerate_indices, validate
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
+    InvariantError,
     MultiplicityRecord,
     RouteInapplicableError,
     alternating_vandermonde_sum,
@@ -24,9 +25,9 @@ from grassmult.multiplicity import (
 
 
 @st.composite
-def index_pairs(draw):
-    n = draw(st.integers(2, 8))
-    d = draw(st.integers(1, min(4, n)))
+def index_pairs(draw, max_n=8, max_d=4):
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, min(max_d, n)))
     i_entries = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=d, max_size=d))))
     j_entries = []
     prev = 0
@@ -210,13 +211,13 @@ class TestRecord:
     def test_rejects_unknown_route(self):
         i = validate((2, 4), 4)
         j = validate((1, 2), 4)
-        with pytest.raises(ValueError, match="unknown route"):
+        with pytest.raises(InvariantError, match="unknown route"):
             MultiplicityRecord(4, i, j, 2, "lattice")
 
     def test_rejects_nonpositive_value(self):
         i = validate((2, 4), 4)
         j = validate((1, 2), 4)
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(InvariantError, match=">= 1"):
             MultiplicityRecord(4, i, j, 0, ROUTES[0])
 
 
@@ -233,3 +234,9 @@ class TestAgreement:
             assert mult_product(i, j) == value
         if j.entries == tuple(range(1, j.d + 1)):
             assert mult_weyman(i) == value
+
+    @given(index_pairs(max_n=16, max_d=6))
+    @settings(max_examples=25, deadline=None)
+    def test_determinant_equals_recurrence_beyond_the_gate(self, pair):
+        i, j = pair
+        assert mult_det(i, j) == mult_rec(i, j)
