@@ -1,16 +1,36 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassmult import difference
 from grassmult.difference import (
+    MAX_BOX_POINTS,
     CheckReport,
+    _box_values,
     check_difference_eq,
     check_shift_identity,
     delta_eval,
     eval_poly,
 )
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Count the determinants the box checks evaluate."""
+    calls = []
+    real = difference.determinant_bareiss
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(difference, "determinant_bareiss", counted)
+    return calls
+
 
 small_shifts = st.integers(1, 3).flatmap(
     lambda d: st.lists(st.integers(0, 3), min_size=d, max_size=d).map(tuple)
@@ -123,3 +143,82 @@ class TestShiftIdentity:
     def test_holds_for_random_shifts(self, shifts, data):
         q = data.draw(st.integers(1, len(shifts)), label="q")
         assert check_shift_identity(shifts, q, (-2, 3)).ok
+
+
+class TestBoxValues:
+    @pytest.mark.parametrize(
+        "shifts, lo, hi",
+        [
+            ((0,), -6, 4),
+            ((3,), -4, 2),
+            ((0, 0), -5, 3),
+            ((2, 1), -3, 4),
+            ((0, 5), -4, 1),
+            ((0, 0, 0), -3, 2),
+            ((1, 3, 0), -4, 1),
+            ((2, 0, 4), -2, 3),
+            ((0, 0, 0, 0), -3, 2),
+            ((0, 1, 0, 3), -4, 1),
+            ((4, 2, 5, 1), -2, 2),
+            ((0, 0, 0, 0, 0), -2, 1),
+            ((1, 0, 2, 0, 3), -3, 0),
+            ((0, 6, 1, 5, 2), -2, 1),
+        ],
+    )
+    def test_laplace_equals_pointwise_determinant(self, shifts, lo, hi):
+        span = range(lo, hi + 1)
+        expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
+        assert _box_values(shifts, lo, hi, None) == expected
+
+    def test_minor_count(self, bareiss_calls):
+        # 2 * C(4, 2) * 13**2 minors per box of [-6, 6]^4, none per point
+        assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
+        assert len(bareiss_calls) == 2028
+        assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
+        assert len(bareiss_calls) == 2028 + 4056
+        assert set(bareiss_calls) == {2}
+
+    def test_cost_bound_before_any_work(self, bareiss_calls):
+        assert 13**9 > MAX_BOX_POINTS
+        with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
+            check_difference_eq((0,) * 9, (-5, 6))
+        with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
+            check_shift_identity((0,) * 9, 1, (-5, 6))
+        assert bareiss_calls == []
+
+
+class TestRejectsCoercion:
+    @pytest.mark.parametrize(
+        "shifts, match",
+        [
+            ((1.9, 0), "shift 1.9 at position 1 is not an integer"),
+            ((0, True), "shift True at position 2 is not an integer"),
+            ((0, "1"), "shift '1' at position 2 is not an integer"),
+        ],
+    )
+    def test_shifts(self, shifts, match):
+        with pytest.raises(ValueError, match=match):
+            check_difference_eq(shifts, (-2, 2))
+        with pytest.raises(ValueError, match=match):
+            check_shift_identity(shifts, 1, (-2, 2))
+
+    @pytest.mark.parametrize(
+        "box, match",
+        [
+            ((-2.5, 2.9), "box bound -2.5 at position 1 is not an integer"),
+            ((-2, 2.0), "box bound 2.0 at position 2 is not an integer"),
+            ((False, 2), "box bound False at position 1 is not an integer"),
+            ((1, 2, 3), "integer pair"),
+            (4, "integer pair"),
+        ],
+    )
+    def test_box(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            check_difference_eq((0, 1), box)
+        with pytest.raises(ValueError, match=match):
+            check_shift_identity((0, 1), 1, box)
+
+    @pytest.mark.parametrize("q", [True, 1.0, "1"])
+    def test_direction(self, q):
+        with pytest.raises(ValueError, match="direction .* is not an integer"):
+            check_shift_identity((0, 1), q, (-2, 2))
