@@ -15,6 +15,15 @@ class InexactDivisionError(ArithmeticError):
     """An integer division expected to be exact left a remainder."""
 
 
+def _require_int(value, name: str, pos: int | None = None) -> None:
+    """The package's one test of an integer input: raise ValueError, naming
+    value and its 1-based position when given, unless value is an int and
+    not a bool. Floats, bools and strings are rejected, never coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        at = "" if pos is None else f" at position {pos}"
+        raise ValueError(f"{name} {value!r}{at} is not an integer")
+
+
 def exact_div(numerator: int, denominator: int) -> int:
     """Divide, insisting on a zero remainder."""
     quotient, remainder = divmod(numerator, denominator)

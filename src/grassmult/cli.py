@@ -2,9 +2,9 @@
 verification sweeps, and micro-benchmarks.
 
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
-3 requested route not applicable to the pair, 4 size guard exceeded
-(override with --force), 5 internal error (an exact division left a
-remainder, or a computed record broke an invariant).
+3 requested route not applicable to the pair, 4 n exceeds the size guard
+GUARD = 12 (override with --force), 5 internal error (an exact division
+left a remainder, or a computed record broke an invariant).
 """
 
 from __future__ import annotations
@@ -38,26 +38,13 @@ from .multiplicity import (
     _sweep,
 )
 
-DEFAULT_GUARD = 12
+# Largest n a sweep runs without --force; sweeps grow like C(n, d)^2.
+GUARD = 12
 CSV_HEADER = ("n", "d", "i", "j", "route", "value")
 
 
 class GuardExceededError(ValueError):
     """The requested sweep is larger than the size guard allows."""
-
-
-@dataclass
-class TableRequest:
-    """Parameters of one table sweep."""
-
-    d: int
-    n: int
-    routes: tuple[str, ...] = (ROUTE_DETERMINANT,)
-    fmt: str = "csv"
-    out: str | None = None
-    jobs: int = 1
-    guard: int = DEFAULT_GUARD
-    force: bool = False
 
 
 @dataclass
@@ -111,21 +98,16 @@ def _record_row(record: MultiplicityRecord) -> tuple:
     )
 
 
-def _render_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _render_json(rows) -> str:
-    records = [dict(zip(CSV_HEADER, row)) for row in rows]
-    return json.dumps(records, indent=2) + "\n"
-
-
 def _render_rows(rows, fmt: str) -> str:
-    return _render_csv(rows) if fmt == "csv" else _render_json(rows)
+    """Rows as CSV under CSV_HEADER, or as a JSON array of objects keyed
+    by it."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return json.dumps([dict(zip(CSV_HEADER, row)) for row in rows], indent=2) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -153,12 +135,12 @@ def _emit(text: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _check_guard(d: int, n: int, guard: int, force: bool) -> None:
+def _check_guard(d: int, n: int, force: bool) -> None:
     if d < 1 or d > n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if n > guard and not force:
+    if n > GUARD and not force:
         raise GuardExceededError(
-            f"n={n} exceeds the size guard {guard}; pass --force to run anyway"
+            f"n={n} exceeds the size guard {GUARD}; pass --force to run anyway"
         )
 
 
@@ -179,9 +161,8 @@ def cmd_compute(args) -> int:
         for route in routes:
             if refusal := _refusal(route, i, j):
                 raise RouteInapplicableError(refusal)
-    caches: dict = {}
     rows = [
-        _record_row(MultiplicityRecord(args.n, i, j, _evaluate(route, i, j, caches), route))
+        _record_row(MultiplicityRecord(args.n, i, j, _evaluate(route, i, j, {}), route))
         for route in routes
     ]
     _emit(_render_rows(rows, args.format), args.out)
@@ -201,17 +182,20 @@ def _pool_size(jobs: int, shards: int, cpus: int) -> int:
     return min(jobs, shards, cpus)
 
 
-def run_table(req: TableRequest) -> str:
+def run_table(
+    d: int, n: int, routes: tuple[str, ...] = (ROUTE_DETERMINANT,), fmt: str = "csv",
+    jobs: int = 1, force: bool = False,
+) -> str:
     """Rows for every pair j <= i of I(d, n), lexicographic by i then j,
-    one row per requested applicable route, rendered to req.fmt."""
-    _check_guard(req.d, req.n, req.guard, req.force)
-    if req.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {req.jobs}")
-    cells = list(enumerate_indices(req.d, req.n))
-    workers = _pool_size(req.jobs, len(cells), os.cpu_count() or 1)
+    one row per requested applicable route, rendered to fmt."""
+    _check_guard(d, n, force)
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    cells = list(enumerate_indices(d, n))
+    workers = _pool_size(jobs, len(cells), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the cell order, so
     # contiguous blocks would leave the first worker most of the pairs.
-    payloads = [(cells[w::workers], req.routes) for w in range(workers)]
+    payloads = [(cells[w::workers], routes) for w in range(workers)]
     if workers == 1:
         dealt = [_table_columns(payloads[0])]
     else:
@@ -222,23 +206,20 @@ def run_table(req: TableRequest) -> str:
     streams = {}
     for (dealt_cells, _), columns in zip(payloads, dealt):
         streams.update((j.entries, (j, iter(col))) for j, col in zip(dealt_cells, columns))
-    width = len(req.routes)
+    width = len(routes)
     rows = []
     for i in cells:
         for floor in _interval_entries(cells[0].entries, i.entries):
             j, stream = streams[floor]
-            for route, value in zip(req.routes, islice(stream, width)):
+            for route, value in zip(routes, islice(stream, width)):
                 if value is not None:
-                    rows.append(_record_row(MultiplicityRecord(req.n, i, j, value, route)))
-    return _render_rows(rows, req.fmt)
+                    rows.append(_record_row(MultiplicityRecord(n, i, j, value, route)))
+    return _render_rows(rows, fmt)
 
 
 def cmd_table(args) -> int:
-    req = TableRequest(
-        d=args.d, n=args.n, routes=_normalize_routes(args.route) or (ROUTE_DETERMINANT,),
-        fmt=args.format, out=args.out, jobs=args.jobs, guard=args.guard, force=args.force,
-    )
-    _emit(run_table(req), req.out)
+    routes = _normalize_routes(args.route) or (ROUTE_DETERMINANT,)
+    _emit(run_table(args.d, args.n, routes, args.format, args.jobs, args.force), args.out)
     return 0
 
 
@@ -336,7 +317,7 @@ def _render_verify_json(report: VerifyReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    _check_guard(args.d, args.n, args.guard, args.force)
+    _check_guard(args.d, args.n, args.force)
     report = run_verification(args.d, args.n, args.seed)
     text = _render_verify_json(report) if args.format == "json" else _render_verify_text(report)
     _emit(text, args.out)
@@ -348,7 +329,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _check_guard(args.d, args.n, args.guard, args.force)
+    _check_guard(args.d, args.n, args.force)
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     routes = _normalize_routes(args.route) or ROUTES
@@ -394,9 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--out", help="write to this path instead of stdout")
     compute.set_defaults(func=cmd_compute)
 
-    table = sub.add_parser("table", help="all pairs j <= i for one (d, n)")
-    table.add_argument("--d", type=int, required=True)
-    table.add_argument("--n", type=int, required=True)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--d", type=int, required=True)
+    sweep.add_argument("--n", type=int, required=True)
+    sweep.add_argument("--out", help="write to this path instead of stdout")
+    sweep.add_argument("--force", action="store_true", help=f"run even when n exceeds {GUARD}")
+
+    table = sub.add_parser("table", parents=[sweep], help="all pairs j <= i for one (d, n)")
     table.add_argument(
         "--route",
         action="append",
@@ -404,32 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="repeatable; default: determinant. Pair/route combinations a route does not cover are omitted",
     )
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--out", help="write to this path instead of stdout")
     table.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
-    table.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="refuse n beyond this without --force")
-    table.add_argument("--force", action="store_true", help="override the size guard")
     table.set_defaults(func=cmd_table)
 
-    verify = sub.add_parser("verify", help="route equivalence sweep plus identity suites")
-    verify.add_argument("--d", type=int, required=True)
-    verify.add_argument("--n", type=int, required=True)
+    verify = sub.add_parser("verify", parents=[sweep], help="route equivalence sweep plus identity suites")
     verify.add_argument("--seed", type=int, default=0, help="seed for the random identity suites")
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--out", help="write to this path instead of stdout")
-    verify.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    verify.add_argument("--force", action="store_true")
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="wall time per route over the full table")
-    bench.add_argument("--d", type=int, required=True)
-    bench.add_argument("--n", type=int, required=True)
+    bench = sub.add_parser("bench", parents=[sweep], help="wall time per route over the full table")
     bench.add_argument(
         "--route", action="append", choices=ROUTES + ("all",), help="repeatable; default: all routes"
     )
     bench.add_argument("--reps", type=int, default=1, help="repetitions of the full sweep")
-    bench.add_argument("--out", help="write to this path instead of stdout")
-    bench.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    bench.add_argument("--force", action="store_true")
     bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
 
-from .arith import binom
+from .arith import _require_int, binom
 from .matrices import build_binomial_matrix, determinant_bareiss
 
 __all__ = [
@@ -62,34 +62,31 @@ def eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
     Integer valued on the whole lattice. At point = i.entries with
     shifts = s_vector(i, j) it equals the multiplicity of the pair.
     """
-    if len(shifts) != len(point):
-        raise ValueError(
-            f"shifts and point must have equal length, got {len(shifts)} and {len(point)}"
-        )
+    matrix = build_binomial_matrix(point, shifts)
     sign = -1 if sum(shifts) % 2 else 1
-    return sign * determinant_bareiss(build_binomial_matrix(point, shifts))
+    return sign * determinant_bareiss(matrix)
 
 
 def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:
     """Partial difference in direction q (1-based): the value at point
     minus the value at point with coordinate q lowered by one."""
-    d = len(shifts)
+    _require_direction(q, len(shifts))
+    t = tuple(point)
+    value = eval_poly(shifts, t)
+    stepped = t[: q - 1] + (t[q - 1] - 1,) + t[q:]
+    return value - eval_poly(shifts, stepped)
+
+
+def _require_direction(q: int, d: int) -> None:
+    _require_int(q, "direction")
     if not 1 <= q <= d:
         raise ValueError(f"direction {q} outside 1..{d}")
-    t = tuple(point)
-    stepped = t[: q - 1] + (t[q - 1] - 1,) + t[q:]
-    return eval_poly(shifts, t) - eval_poly(shifts, stepped)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_shifts(shifts: Sequence[int]) -> tuple[int, ...]:
     out = tuple(shifts)
     for pos, s in enumerate(out, start=1):
-        if not _is_int(s):
-            raise ValueError(f"shift {s!r} at position {pos} is not an integer")
+        _require_int(s, "shift", pos)
     if not out:
         raise ValueError("need at least one coordinate")
     if any(s < 0 for s in out):
@@ -105,8 +102,7 @@ def _require_box(box, d: int) -> tuple[int, int]:
     except (TypeError, ValueError) as exc:
         raise ValueError("box must be an integer pair (lo, hi)") from exc
     for pos, bound in enumerate((lo, hi), start=1):
-        if not _is_int(bound):
-            raise ValueError(f"box bound {bound!r} at position {pos} is not an integer")
+        _require_int(bound, "box bound", pos)
     if lo > hi:
         raise ValueError(f"empty box: lo={lo} > hi={hi}")
     points = (hi - lo + 2) ** d
@@ -213,10 +209,7 @@ def check_shift_identity(
     taken at the stepped point."""
     shifts = _require_shifts(shifts)
     d = len(shifts)
-    if not _is_int(q):
-        raise ValueError(f"direction {q!r} is not an integer")
-    if not 1 <= q <= d:
-        raise ValueError(f"direction {q} outside 1..{d}")
+    _require_direction(q, d)
     lo, hi = _require_box(box, d)
     raised = shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:]
     base = _box_values(shifts, lo - 1, hi, eval_fn)

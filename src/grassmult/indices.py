@@ -12,6 +12,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
+from .arith import _require_int
+
 __all__ = [
     "GrassmannIndex",
     "validate",
@@ -34,7 +36,7 @@ class GrassmannIndex:
 
     @property
     def weight(self) -> int:
-        """Entry sum; the grading that drives the multiplicity recurrence."""
+        """Entry sum; a covering move downward lowers it by one."""
         return sum(self.entries)
 
     def __str__(self) -> str:
@@ -48,9 +50,6 @@ def validate(entries: Sequence[int], n: int) -> GrassmannIndex:
     be ints already: floats, bools and strings are rejected, not coerced.
     """
     tup = tuple(entries)
-    for pos, e in enumerate(tup, start=1):
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ValueError(f"entry {e!r} at position {pos} is not an integer")
     if not tup:
         raise ValueError("index vector must not be empty")
     if n < 1:
@@ -59,6 +58,7 @@ def validate(entries: Sequence[int], n: int) -> GrassmannIndex:
         raise ValueError(f"vector length {len(tup)} exceeds n={n}")
     prev = 0
     for pos, e in enumerate(tup, start=1):
+        _require_int(e, "entry", pos)
         if e < 1 or e > n:
             raise ValueError(f"entry {e} at position {pos} outside [1, {n}]")
         if pos > 1 and e <= prev:

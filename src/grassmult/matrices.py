@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .arith import binom, exact_div
+from .arith import _require_int, binom, exact_div
 
 __all__ = [
     "Matrix",
@@ -103,19 +103,27 @@ def _cofactor(a: Matrix) -> int:
     return total
 
 
+def _require_columns(values: Sequence[int], shifts: Sequence[int]) -> None:
+    """The one check of a column specification, in a single pass: values and
+    shifts are equally long, non-empty integer vectors, no shift negative."""
+    if len(values) != len(shifts):
+        raise ValueError(
+            f"values and shifts must have equal length, got {len(values)} and {len(shifts)}"
+        )
+    if not values:
+        raise ValueError("need at least one column")
+    for pos, (v, s) in enumerate(zip(values, shifts), start=1):
+        _require_int(v, "value", pos)
+        _require_int(s, "shift", pos)
+        if s < 0:
+            raise ValueError(f"shifts must be nonnegative, got {s} at position {pos}")
+
+
 def build_binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matrix:
     """Matrix whose column q holds binom(values[q], p - shifts[q]) for rows
     p = 0..d-1; the carrier of the determinant route for multiplicities."""
+    _require_columns(values, shifts)
     d = len(values)
-    if d != len(shifts):
-        raise ValueError(
-            f"values and shifts must have equal length, got {d} and {len(shifts)}"
-        )
-    if d == 0:
-        raise ValueError("need at least one column")
-    for q, s in enumerate(shifts):
-        if s < 0:
-            raise ValueError(f"shifts must be nonnegative, got {s} at position {q + 1}")
     return [[binom(values[q], p - shifts[q]) for q in range(d)] for p in range(d)]
 
 
@@ -125,18 +133,9 @@ def build_shifted_vandermonde_matrix(
     """Matrix with entry (p, q) = binom(values[q] + offsets[q], p) for rows
     p = 0..d-1; its determinant times 1! 2! ... (d-1)! equals the
     Vandermonde product of the shifted values."""
-    d = len(values)
-    if d != len(offsets):
-        raise ValueError(
-            f"values and offsets must have equal length, got {d} and {len(offsets)}"
-        )
-    if d == 0:
-        raise ValueError("need at least one column")
-    for q, k in enumerate(offsets):
-        if k < 0:
-            raise ValueError(f"offsets must be nonnegative, got {k} at position {q + 1}")
+    _require_columns(values, offsets)
     shifted = [v + k for v, k in zip(values, offsets)]
-    return [[binom(c, p) for c in shifted] for p in range(d)]
+    return [[binom(c, p) for c in shifted] for p in range(len(shifted))]
 
 
 def vandermonde(values: Sequence[int]) -> int:

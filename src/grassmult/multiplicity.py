@@ -12,7 +12,7 @@ Routes:
                     ``s_vector``. Production route.
 * ``mult_rec``      the defining recurrence, summing over downward
                     covering moves and dividing by ``degree``; memoized
-                    and driven bottom-up by entry-sum weight. This is the
+                    and filled in lexicographic order. This is the
                     authoritative oracle the other routes are checked
                     against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
@@ -30,10 +30,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .arith import binom, exact_div, factorial_superproduct
+from .arith import _require_int, binom, exact_div, factorial_superproduct
 from .difference import eval_poly
 from .indices import GrassmannIndex, leq, lower_neighbor_entries
-from .matrices import determinant_bareiss, vandermonde
+from .matrices import _require_columns, determinant_bareiss, vandermonde
 
 __all__ = [
     "ROUTE_DETERMINANT",
@@ -143,8 +143,10 @@ def mult_rec(
     """Multiplicity by the defining recurrence, memoized.
 
     Value 1 at i == j; otherwise the sum over downward covering moves that
-    stay above j, divided (exactly) by degree. The table is filled
-    bottom-up by increasing weight, so no recursion depth limit applies.
+    stay above j, divided (exactly) by degree. The table is filled in
+    lexicographic order of the interval [j, i]: a covering move lowers one
+    coordinate, so it always lands on an entry filled earlier, and no
+    recursion depth limit applies.
 
     The cache maps entry tuples to values and is only meaningful for a
     fixed j and n. Reuse it across calls with the same j to share work;
@@ -161,9 +163,9 @@ def mult_rec(
         return cache[target]
     d = len(floor)
     floor_set = set(floor)
-    pending = [k for k in _interval_entries(floor, target) if k not in cache]
-    pending.sort(key=sum)
-    for k in pending:
+    for k in _interval_entries(floor, target):
+        if k in cache:
+            continue
         total = 0
         for _, neighbor in lower_neighbor_entries(k, floor):
             total += cache[neighbor]
@@ -175,7 +177,8 @@ def mult_rec(
 def _interval_entries(
     floor: tuple[int, ...], ceil: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """Strictly increasing tuples k with floor <= k <= ceil componentwise."""
+    """Strictly increasing tuples k with floor <= k <= ceil componentwise,
+    in lexicographic order."""
     d = len(floor)
     out: list[tuple[int, ...]] = []
 
@@ -199,16 +202,8 @@ def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> 
     At an index pair's shifts and entries this is the multiplicity; the
     expression itself is defined for every integer point.
     """
+    _require_columns(point, shifts)
     d = len(shifts)
-    if d != len(point):
-        raise ValueError(
-            f"shifts and point must have equal length, got {d} and {len(point)}"
-        )
-    if d == 0:
-        raise ValueError("need at least one coordinate")
-    for q, s in enumerate(shifts):
-        if s < 0:
-            raise ValueError(f"shifts must be nonnegative, got {s} at position {q + 1}")
     weights = [[binom(s, k) for k in range(s + 1)] for s in shifts]
     base = tuple(point)
     total = 0
@@ -225,7 +220,6 @@ def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> 
 
 def mult_sum(i: GrassmannIndex, j: GrassmannIndex) -> int:
     """Multiplicity as the alternating Vandermonde sum."""
-    _require_pair(i, j)
     return alternating_vandermonde_sum(s_vector(i, j), i.entries)
 
 
@@ -249,8 +243,9 @@ def frobenius_coordinates(partition: Sequence[int]) -> FrobeniusCoordinates:
     lengths and beta the leg lengths of the diagonal hooks, the latter
     read off the conjugate partition.
     """
-    parts = [int(x) for x in partition]
+    parts = tuple(partition)
     for pos, part in enumerate(parts):
+        _require_int(part, "partition entry", pos + 1)
         if part < 0:
             raise ValueError(f"partition entries must be nonnegative, got {part}")
         if pos and part > parts[pos - 1]:
@@ -294,14 +289,14 @@ def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
     return None
 
 
-def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, rec_caches: dict) -> int:
-    """Value of route on a pair it covers; rec_caches keeps one recurrence
-    cache per j. Route functions are looked up by module name at each call,
-    never held, so a wrapper set on this module sees every call."""
+def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, cache: dict) -> int:
+    """Value of route on a pair it covers; cache is the recurrence cache
+    of j. Route functions are looked up by module name at each call, never
+    held, so a wrapper set on this module sees every call."""
     if route == ROUTE_DETERMINANT:
         return mult_det(i, j)
     if route == ROUTE_RECURRENCE:
-        return mult_rec(i, j, rec_caches.setdefault(j.entries, {}))
+        return mult_rec(i, j, cache)
     if route == ROUTE_SUM:
         return mult_sum(i, j)
     if route == ROUTE_PRODUCT:
@@ -327,10 +322,10 @@ def _sweep(
         top = tuple(range(j.n - j.d + 1, j.n + 1))
         ups = [GrassmannIndex(k, j.n) for k in _interval_entries(j.entries, top)]
         column: list[int | None] = [None] * (len(ups) * width)
-        rec_caches: dict = {}
+        cache: dict = {}
         for p in range(len(ups) - 1, -1, -1):
             i = ups[p]
             for r, route in enumerate(routes):
                 if not _refusal(route, i, j):
-                    column[p * width + r] = _evaluate(route, i, j, rec_caches)
+                    column[p * width + r] = _evaluate(route, i, j, cache)
         yield ups, column

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grassmult import (
+    alternating_vandermonde_sum,
+    build_binomial_matrix,
+    build_shifted_vandermonde_matrix,
+    delta_eval,
+    eval_poly,
+    frobenius_coordinates,
+)
 from grassmult.arith import InexactDivisionError, binom, exact_div, factorial_superproduct
 
 
@@ -71,3 +79,34 @@ class TestFactorialSuperproduct:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorial_superproduct(0)
+
+
+# Each public entry point that takes integer vectors, called with one float
+# and one bool in a single argument; the error names the offending position.
+NON_INT_CALLS = [
+    (eval_poly, ((0, 0), (2.5, 4)), "value 2.5 at position 1"),
+    (eval_poly, ((0, 0), (3, True)), "value True at position 2"),
+    (eval_poly, ((0, 1.0), (3, 5)), "shift 1.0 at position 2"),
+    (eval_poly, ((True, 0), (3, 5)), "shift True at position 1"),
+    (delta_eval, ((0, 0), 1, (3, 5.0)), "value 5.0 at position 2"),
+    (delta_eval, ((0, 0), 1, (False, 5)), "value False at position 1"),
+    (delta_eval, ((0, 0), 1.0, (3, 5)), "direction 1.0 is not"),
+    (delta_eval, ((0, 0), True, (3, 5)), "direction True is not"),
+    (build_binomial_matrix, ((2, 4.0), (0, 0)), "value 4.0 at position 2"),
+    (build_binomial_matrix, ((2, 4), (0, True)), "shift True at position 2"),
+    (build_shifted_vandermonde_matrix, ((1.5, 3), (0, 1)), "value 1.5 at position 1"),
+    (build_shifted_vandermonde_matrix, ((1, 3), (True, 1)), "shift True at position 1"),
+    (alternating_vandermonde_sum, ((0, 0.0), (2, 4)), "shift 0.0 at position 2"),
+    (alternating_vandermonde_sum, ((0, 0), (True, 4)), "value True at position 1"),
+    (frobenius_coordinates, ((2.0, 1),), "partition entry 2.0 at position 1"),
+    (frobenius_coordinates, ((2, True),), "partition entry True at position 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, match", NON_INT_CALLS,
+    ids=[f"{fn.__name__}-{k}" for k, (fn, _, _) in enumerate(NON_INT_CALLS)],
+)
+def test_entry_points_reject_non_int(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)

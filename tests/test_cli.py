@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,10 +17,10 @@ import grassmult.cli as cli
 import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
-    TableRequest,
     VerifyReport,
     _pool_size,
     _render_verify_text,
+    build_parser,
     main,
     run_table,
     run_verification,
@@ -158,11 +159,8 @@ class TestTable:
         assert len(out.splitlines()) == 72
 
     def test_jobs_do_not_change_bytes(self):
-        base = TableRequest(d=2, n=5, routes=("determinant", "recurrence"))
-        serial = run_table(base)
-        parallel = run_table(
-            TableRequest(d=2, n=5, routes=("determinant", "recurrence"), jobs=3)
-        )
+        serial = run_table(d=2, n=5, routes=("determinant", "recurrence"))
+        parallel = run_table(d=2, n=5, routes=("determinant", "recurrence"), jobs=3)
         assert serial == parallel
 
     def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch):
@@ -196,13 +194,13 @@ class TestTable:
             return value
 
         monkeypatch.setattr(multiplicity, "mult_rec", counted_rec)
-        run_table(TableRequest(d=3, n=7, routes=("recurrence",)))
+        run_table(d=3, n=7, routes=("recurrence",))
         assert len(fills) == 490
         assert sum(fills) == 490
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="--jobs"):
-            run_table(TableRequest(d=1, n=3, jobs=0))
+            run_table(d=1, n=3, jobs=0)
 
     def test_guard_blocks_and_force_overrides(self, capsys):
         code, out, err = run_cli(capsys, "table", "--d", "1", "--n", "13")
@@ -403,3 +401,22 @@ def test_golden_bytes(capsys, argv, digest):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_option_inventory():
+    # Every long option of every subcommand: a new knob shows up as a diff here.
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    inventory = {
+        name: {
+            opt for action in sub._actions for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, sub in subcommands.choices.items()
+    }
+    assert inventory == {
+        "compute": {"--n", "--i", "--j", "--route", "--format", "--out"},
+        "table": {"--d", "--n", "--route", "--format", "--out", "--jobs", "--force"},
+        "verify": {"--d", "--n", "--seed", "--format", "--out", "--force"},
+        "bench": {"--d", "--n", "--route", "--reps", "--out", "--force"},
+    }
