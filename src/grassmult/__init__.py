@@ -9,83 +9,19 @@ determinant for the base cell) so each can check the others. All
 arithmetic is exact integer arithmetic.
 """
 
-from __future__ import annotations
-
-from .arith import InexactDivisionError, binom, exact_div, factorial_superproduct
-from .difference import (
-    CheckReport,
-    check_difference_eq,
-    check_shift_identity,
-    delta_eval,
-    eval_poly,
-)
-from .indices import GrassmannIndex, enumerate_indices, leq, lower_neighbors, validate
-from .matrices import (
-    build_binomial_matrix,
-    build_shifted_vandermonde_matrix,
-    determinant_bareiss,
-    determinant_cofactor,
-    vandermonde,
-)
-from .multiplicity import (
-    ROUTE_DETERMINANT,
-    ROUTE_PRODUCT,
-    ROUTE_RECURRENCE,
-    ROUTE_SUM,
-    ROUTE_WEYMAN,
-    ROUTES,
-    FrobeniusCoordinates,
-    MultiplicityRecord,
-    RouteInapplicableError,
-    alternating_vandermonde_sum,
-    degree,
-    frobenius_coordinates,
-    mult_det,
-    mult_product,
-    mult_rec,
-    mult_sum,
-    mult_weyman,
-    s_vector,
-)
+from .arith import *
+from .difference import *
+from .indices import *
+from .matrices import *
+from .multiplicity import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "FrobeniusCoordinates",
-    "GrassmannIndex",
-    "InexactDivisionError",
-    "MultiplicityRecord",
-    "ROUTES",
-    "ROUTE_DETERMINANT",
-    "ROUTE_PRODUCT",
-    "ROUTE_RECURRENCE",
-    "ROUTE_SUM",
-    "ROUTE_WEYMAN",
-    "RouteInapplicableError",
-    "alternating_vandermonde_sum",
-    "binom",
-    "build_binomial_matrix",
-    "build_shifted_vandermonde_matrix",
-    "check_difference_eq",
-    "check_shift_identity",
-    "degree",
-    "delta_eval",
-    "determinant_bareiss",
-    "determinant_cofactor",
-    "enumerate_indices",
-    "eval_poly",
-    "exact_div",
-    "factorial_superproduct",
-    "frobenius_coordinates",
-    "leq",
-    "lower_neighbors",
-    "mult_det",
-    "mult_product",
-    "mult_rec",
-    "mult_sum",
-    "mult_weyman",
-    "s_vector",
-    "vandermonde",
-    "validate",
-]
+# Each module's __all__ is the one statement of what it makes public.
+__all__ = (
+    arith.__all__
+    + difference.__all__
+    + indices.__all__
+    + matrices.__all__
+    + multiplicity.__all__
+)

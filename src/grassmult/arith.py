@@ -54,6 +54,7 @@ def binom(a: int, b: int) -> int:
 
 def factorial_superproduct(d: int) -> int:
     """Product 1! 2! ... (d-1)!, the empty product 1 when d == 1."""
+    _require_int(d, "d")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     out = 1

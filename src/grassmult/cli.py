@@ -23,7 +23,7 @@ from multiprocessing import Pool
 
 from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
-from .indices import enumerate_indices, validate
+from .indices import _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
@@ -136,8 +136,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _check_guard(d: int, n: int, force: bool) -> None:
-    if d < 1 or d > n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _require_dims(d, n)
     if n > GUARD and not force:
         raise GuardExceededError(
             f"n={n} exceeds the size guard {GUARD}; pass --force to run anyway"

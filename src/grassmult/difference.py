@@ -25,7 +25,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .arith import _require_int, binom
-from .matrices import build_binomial_matrix, determinant_bareiss
+from .matrices import _require_shifts, build_binomial_matrix, determinant_bareiss
 
 __all__ = [
     "CheckReport",
@@ -81,17 +81,6 @@ def _require_direction(q: int, d: int) -> None:
     _require_int(q, "direction")
     if not 1 <= q <= d:
         raise ValueError(f"direction {q} outside 1..{d}")
-
-
-def _require_shifts(shifts: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(shifts)
-    for pos, s in enumerate(out, start=1):
-        _require_int(s, "shift", pos)
-    if not out:
-        raise ValueError("need at least one coordinate")
-    if any(s < 0 for s in out):
-        raise ValueError(f"shifts must be nonnegative, got {out}")
-    return out
 
 
 def _require_box(box, d: int) -> tuple[int, int]:

@@ -52,6 +52,7 @@ def validate(entries: Sequence[int], n: int) -> GrassmannIndex:
     tup = tuple(entries)
     if not tup:
         raise ValueError("index vector must not be empty")
+    _require_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(tup) > n:
@@ -82,12 +83,19 @@ def leq(j: GrassmannIndex, i: GrassmannIndex) -> bool:
     return all(a <= b for a, b in zip(j.entries, i.entries))
 
 
-def enumerate_indices(d: int, n: int) -> Iterator[GrassmannIndex]:
-    """All C(n, d) index vectors, in lexicographic order of entries."""
+def _require_dims(d: int, n: int) -> None:
+    """The one check of a shape (d, n): integers with 1 <= d <= n."""
+    _require_int(d, "d")
+    _require_int(n, "n")
     if d < 1 or d > n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    for combo in combinations(range(1, n + 1), d):
-        yield GrassmannIndex(combo, n)
+
+
+def enumerate_indices(d: int, n: int) -> Iterator[GrassmannIndex]:
+    """All C(n, d) index vectors, in lexicographic order of entries. The
+    shape is checked on the call, before the first vector is asked for."""
+    _require_dims(d, n)
+    return (GrassmannIndex(combo, n) for combo in combinations(range(1, n + 1), d))
 
 
 def lower_neighbor_entries(

@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from .arith import _require_int, binom, exact_div
 
 __all__ = [
-    "Matrix",
     "determinant_bareiss",
     "determinant_cofactor",
     "build_binomial_matrix",
@@ -103,20 +102,29 @@ def _cofactor(a: Matrix) -> int:
     return total
 
 
+def _require_shifts(shifts: Sequence[int]) -> tuple[int, ...]:
+    """The one check of a shift vector: a non-empty vector of integers, none
+    negative. Returns it as a tuple."""
+    out = tuple(shifts)
+    if not out:
+        raise ValueError("need at least one column")
+    for pos, s in enumerate(out, start=1):
+        _require_int(s, "shift", pos)
+        if s < 0:
+            raise ValueError(f"shifts must be nonnegative, got {s} at position {pos}")
+    return out
+
+
 def _require_columns(values: Sequence[int], shifts: Sequence[int]) -> None:
-    """The one check of a column specification, in a single pass: values and
-    shifts are equally long, non-empty integer vectors, no shift negative."""
+    """The one check of a column specification: values and shifts are
+    equally long, the shifts pass _require_shifts, the values are integers."""
     if len(values) != len(shifts):
         raise ValueError(
             f"values and shifts must have equal length, got {len(values)} and {len(shifts)}"
         )
-    if not values:
-        raise ValueError("need at least one column")
-    for pos, (v, s) in enumerate(zip(values, shifts), start=1):
+    _require_shifts(shifts)
+    for pos, v in enumerate(values, start=1):
         _require_int(v, "value", pos)
-        _require_int(s, "shift", pos)
-        if s < 0:
-            raise ValueError(f"shifts must be nonnegative, got {s} at position {pos}")
 
 
 def build_binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matrix:

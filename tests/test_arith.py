@@ -11,8 +11,10 @@ from grassmult import (
     build_binomial_matrix,
     build_shifted_vandermonde_matrix,
     delta_eval,
+    enumerate_indices,
     eval_poly,
     frobenius_coordinates,
+    validate,
 )
 from grassmult.arith import InexactDivisionError, binom, exact_div, factorial_superproduct
 
@@ -81,8 +83,9 @@ class TestFactorialSuperproduct:
             factorial_superproduct(0)
 
 
-# Each public entry point that takes integer vectors, called with one float
-# and one bool in a single argument; the error names the offending position.
+# Each public entry point that takes integer vectors or integers, called with
+# one float and one bool in a single argument; the error names the offending
+# value and, in a vector, its position.
 NON_INT_CALLS = [
     (eval_poly, ((0, 0), (2.5, 4)), "value 2.5 at position 1"),
     (eval_poly, ((0, 0), (3, True)), "value True at position 2"),
@@ -100,6 +103,12 @@ NON_INT_CALLS = [
     (alternating_vandermonde_sum, ((0, 0), (True, 4)), "value True at position 1"),
     (frobenius_coordinates, ((2.0, 1),), "partition entry 2.0 at position 1"),
     (frobenius_coordinates, ((2, True),), "partition entry True at position 2"),
+    (validate, ((2, 4), 4.0), "n 4.0 is not an integer"),
+    (validate, ((1,), True), "n True is not an integer"),
+    (enumerate_indices, (2, 4.0), "n 4.0 is not an integer"),
+    (enumerate_indices, (True, 3), "d True is not an integer"),
+    (factorial_superproduct, (True,), "d True is not an integer"),
+    (factorial_superproduct, (3.0,), "d 3.0 is not an integer"),
 ]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import resource
@@ -13,6 +14,7 @@ import threading
 
 import pytest
 
+import grassmult
 import grassmult.cli as cli
 import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
@@ -212,9 +214,11 @@ class TestTable:
         assert len(out.splitlines()) == 1 + 91
 
     def test_bad_dims_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--d", "0", "--n", "3")
-        assert code == 2
-        assert "need 1 <= d <= n" in err
+        # The shape is checked before the size guard: n=13 exits 2, not 4.
+        for n in ("3", "13"):
+            code, _, err = run_cli(capsys, "table", "--d", "0", "--n", n)
+            assert code == 2
+            assert "need 1 <= d <= n" in err
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -420,3 +424,27 @@ def test_option_inventory():
         "verify": {"--d", "--n", "--seed", "--format", "--out", "--force"},
         "bench": {"--d", "--n", "--route", "--reps", "--out", "--force"},
     }
+
+
+def test_public_surface():
+    # The package re-exports its modules' __all__: a name made public or
+    # dropped, or a helper leaked by a module without __all__, shows here.
+    assert sorted(grassmult.__all__) == [
+        "CheckReport", "FrobeniusCoordinates", "GrassmannIndex", "InexactDivisionError",
+        "InvariantError", "MultiplicityRecord", "ROUTES", "ROUTE_DETERMINANT",
+        "ROUTE_PRODUCT", "ROUTE_RECURRENCE", "ROUTE_SUM", "ROUTE_WEYMAN",
+        "RouteInapplicableError", "alternating_vandermonde_sum", "binom",
+        "build_binomial_matrix", "build_shifted_vandermonde_matrix", "check_difference_eq",
+        "check_shift_identity", "degree", "delta_eval", "determinant_bareiss",
+        "determinant_cofactor", "enumerate_indices", "eval_poly", "exact_div",
+        "factorial_superproduct", "frobenius_coordinates", "leq", "lower_neighbors",
+        "mult_det", "mult_product", "mult_rec", "mult_sum", "mult_weyman", "s_vector",
+        "validate", "vandermonde",
+    ]
+    assert len(set(grassmult.__all__)) == len(grassmult.__all__)
+    submodules = {
+        name for name, value in vars(grassmult).items()
+        if inspect.ismodule(value) and value.__name__ == f"grassmult.{name}"
+    }
+    public = {name for name in vars(grassmult) if not name.startswith("_")}
+    assert public == set(grassmult.__all__) | submodules

@@ -4,30 +4,9 @@ import math
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
+from strategies import index_pairs
 
-from grassmult.indices import (
-    GrassmannIndex,
-    enumerate_indices,
-    leq,
-    lower_neighbors,
-    validate,
-)
-
-
-@st.composite
-def index_pairs(draw):
-    """A variety index i and a cell index j <= i sharing (d, n)."""
-    n = draw(st.integers(2, 8))
-    d = draw(st.integers(1, min(4, n)))
-    i_entries = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=d, max_size=d))))
-    j_entries = []
-    prev = 0
-    for pos in range(d):
-        val = draw(st.integers(prev + 1, i_entries[pos]))
-        j_entries.append(val)
-        prev = val
-    return GrassmannIndex(i_entries, n), GrassmannIndex(tuple(j_entries), n)
+from grassmult.indices import enumerate_indices, leq, lower_neighbors, validate
 
 
 class TestValidate:

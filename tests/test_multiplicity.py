@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import index_pairs
 
 from grassmult.difference import eval_poly
-from grassmult.indices import GrassmannIndex, enumerate_indices, validate
+from grassmult.indices import enumerate_indices, validate
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
@@ -22,20 +23,6 @@ from grassmult.multiplicity import (
     mult_weyman,
     s_vector,
 )
-
-
-@st.composite
-def index_pairs(draw, max_n=8, max_d=4):
-    n = draw(st.integers(2, max_n))
-    d = draw(st.integers(1, min(max_d, n)))
-    i_entries = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=d, max_size=d))))
-    j_entries = []
-    prev = 0
-    for pos in range(d):
-        val = draw(st.integers(prev + 1, i_entries[pos]))
-        j_entries.append(val)
-        prev = val
-    return GrassmannIndex(i_entries, n), GrassmannIndex(tuple(j_entries), n)
 
 
 class TestShiftsAndDegree:
