@@ -4,17 +4,16 @@ over finite boxes.
 
 The family extends the determinant route for multiplicities from index
 vectors to arbitrary integer points. One point is evaluated through one
-determinant (eval_poly). A whole box is evaluated by generalized Laplace
-expansion along a column split: column q depends on coordinate q only, so
-the h x h minors of the first h = d // 2 columns are computed once per
-point of their h-dimensional sub-box, the complementary minors of the
-other columns once per point of theirs, and each lattice value is one
-signed dot product of two minor vectors. Box values live in one flat list
-in lexicographic order of the points. No symbolic polynomial
-representation is kept, and no attempt is made to describe the full
-solution space of the difference equation. The checks certify the
-identities on concrete boxes, exactly, and report the first
-counterexample when one exists.
+determinant (eval_poly). Many points share one engine, _half_minors:
+column q of the matrix depends on (value q, shift q) only, so by Laplace
+expansion along a column split the value is one dot product of the
+memoized signed minor vectors of the two column halves. The box checks
+run it over the two sub-boxes of a box, the determinant table over the
+halves of its pairs. Box values live in one flat list in lexicographic
+order of the points. No symbolic polynomial representation is kept, and
+no attempt is made to describe the full solution space of the difference
+equation. The checks certify the identities on concrete boxes, exactly,
+and report the first counterexample when one exists.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .arith import _require_int, binom
-from .matrices import _require_shifts, build_binomial_matrix, determinant_bareiss
+from .matrices import _require_columns, _require_shifts, build_binomial_matrix, determinant_bareiss
 
 __all__ = [
     "CheckReport",
@@ -102,22 +101,39 @@ def _require_box(box, d: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _half_minors(
-    shifts: tuple[int, ...], row_sets: list[tuple[int, ...]], span: range, d: int
-) -> list[list[int]]:
-    """For every point u of span^len(shifts), in lexicographic order, the
-    minors on each row set of the columns binom(u[q], p - shifts[q]),
-    p = 0..d-1. A minor on no rows is 1."""
-    columns = [{v: [binom(v, p - s) for p in range(d)] for v in span} for s in shifts]
-    out = []
-    for u in product(span, repeat=len(shifts)):
-        cols = [columns[q][v] for q, v in enumerate(u)]
-        out.append(
-            [
-                determinant_bareiss([[col[p] for col in cols] for p in rows]) if rows else 1
-                for rows in row_sets
-            ]
-        )
+def _laplace_split(d: int) -> tuple[int, tuple, tuple]:
+    """Laplace expansion along the first h = d // 2 columns, rows and
+    columns counted from 0: det is the sum over row sets R of size h of
+    (-1)**(sum(R) + 0 + 1 + ... + h-1) times the minor on R of the left
+    columns times the minor on the other rows of the right columns.
+    Returns h and the aligned (row sets, signs) of the left and the right
+    half; the Laplace sign goes with the left."""
+    h = d // 2
+    row_sets = list(combinations(range(d), h))
+    rest = [tuple(p for p in range(d) if p not in rows) for rows in row_sets]
+    signs = [-1 if (sum(rows) + h * (h - 1) // 2) % 2 else 1 for rows in row_sets]
+    return h, (row_sets, signs), (rest, [1] * len(rest))
+
+
+def _half_minors(memo: dict, values: tuple, shifts: tuple, row_sets, signs, d: int) -> list[int]:
+    """Minors of the column half binom(values[q], p - shifts[q]), p = 0..d-1,
+    on each row set, times that row set's sign and (-1)**sum(shifts); a
+    minor on no rows is 1. Memoized by (values, shifts), and each column by
+    (v, s), in memo: the caller owns it and uses it for one half of one d
+    only. A half is checked once, when first computed."""
+    out = memo.get((values, shifts))
+    if out is None:
+        if values:
+            _require_columns(values, shifts)
+        cols = [
+            memo.get((v, s)) or memo.setdefault((v, s), [binom(v, p - s) for p in range(d)])
+            for v, s in zip(values, shifts)
+        ]
+        g = -1 if sum(shifts) % 2 else 1
+        out = memo[values, shifts] = [
+            g * sign * (determinant_bareiss([[c[p] for c in cols] for p in rows]) if rows else 1)
+            for rows, sign in zip(row_sets, signs)
+        ]
     return out
 
 
@@ -130,21 +146,11 @@ def _box_values(
     span = range(lo, hi + 1)
     if eval_fn is not None:
         return [eval_fn(shifts, t) for t in product(span, repeat=d)]
-    # Laplace expansion along the first h columns, rows and columns counted
-    # from 0: det is the sum over row sets R of size h of
-    # (-1)**(sum(R) + 0 + 1 + ... + h-1) times the minor on R of the left
-    # columns times the minor on the other rows of the right columns. That
-    # sign and (-1)**sum(shifts) are folded into the left vectors.
-    h = d // 2
-    row_sets = list(combinations(range(d), h))
-    rest = [tuple(p for p in range(d) if p not in rows) for rows in row_sets]
-    parity = sum(shifts) + h * (h - 1) // 2
-    signs = [-1 if (parity + sum(rows)) % 2 else 1 for rows in row_sets]
-    left = [
-        [g * m for g, m in zip(signs, minors)]
-        for minors in _half_minors(shifts[:h], row_sets, span, d)
-    ]
-    right = _half_minors(shifts[h:], rest, span, d)
+    h, *halves = _laplace_split(d)
+    left, right = (
+        [_half_minors(memo, u, part, *rows, d) for u in product(span, repeat=len(part))]
+        for part, rows, memo in zip((shifts[:h], shifts[h:]), halves, ({}, {}))
+    )
     return [sum(map(mul, a, b)) for a in left for b in right]
 
 

@@ -9,7 +9,8 @@ Routes:
 
 * ``mult_det``      signed determinant of a matrix of binomial
                     coefficients whose column shifts come from
-                    ``s_vector``. Production route.
+                    ``s_vector``. Production route: one pair by one
+                    Bareiss, a table by memoized half minors.
 * ``mult_rec``      the defining recurrence, summing over downward
                     covering moves and dividing by ``degree``; memoized
                     and filled in lexicographic order. This is the
@@ -26,12 +27,14 @@ Routes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .arith import _require_int, binom, exact_div, factorial_superproduct
-from .difference import eval_poly
+from .difference import _half_minors, _laplace_split, eval_poly
 from .indices import GrassmannIndex, leq, lower_neighbor_entries
 from .matrices import _require_columns, determinant_bareiss, vandermonde
 
@@ -120,7 +123,7 @@ def s_vector(i: GrassmannIndex, j: GrassmannIndex) -> tuple[int, ...]:
     """
     _require_pair(i, j)
     js = j.entries
-    return tuple(sum(1 for jp in js if jp > iq) for iq in i.entries)
+    return tuple(len(js) - bisect_right(js, iq) for iq in i.entries)
 
 
 def degree(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -309,15 +312,22 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, cache: dict) -> 
 def _sweep(
     cells: Sequence[GrassmannIndex], routes: Sequence[str]
 ) -> Iterator[tuple[list[GrassmannIndex], list[int | None]]]:
-    """For each cell j of cells, its up-set {i >= j} in lexicographic order
-    and the flat column of route values over it: len(routes) entries per
-    pair, None where a route does not cover the pair.
+    """For each cell j of cells (all of one d), its up-set {i >= j} in
+    lexicographic order and the flat column of route values over it:
+    len(routes) entries per pair, None where a route does not cover the
+    pair.
 
     The up-set is the interval from j to the top index and is walked from
     the top down, so the first recurrence call fills j's whole column and
     every later one is a cache hit; the cache is dropped with the cell.
+    The determinant is mult_det's, expanded along its column split, with
+    one half-minor memo per half that lives for this call only.
     """
     width = len(routes)
+    d = cells[0].d if cells else 0
+    h, left_rows, right_rows = _laplace_split(d)
+    left_memo: dict = {}
+    right_memo: dict = {}
     for j in cells:
         top = tuple(range(j.n - j.d + 1, j.n + 1))
         ups = [GrassmannIndex(k, j.n) for k in _interval_entries(j.entries, top)]
@@ -326,6 +336,11 @@ def _sweep(
         for p in range(len(ups) - 1, -1, -1):
             i = ups[p]
             for r, route in enumerate(routes):
-                if not _refusal(route, i, j):
+                if route == ROUTE_DETERMINANT:
+                    s, t = s_vector(i, j), i.entries
+                    left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
+                    right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
+                    column[p * width + r] = sum(map(mul, left, right))
+                elif not _refusal(route, i, j):
                     column[p * width + r] = _evaluate(route, i, j, cache)
         yield ups, column

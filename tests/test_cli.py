@@ -200,6 +200,27 @@ class TestTable:
         assert len(fills) == 490
         assert sum(fills) == 490
 
+    def test_determinant_op_counts(self, op_calls):
+        # One mult_det per pair would take 490 Bareiss and 4 410 binom calls.
+        run_table(d=3, n=7)
+        assert len(op_calls["determinant_bareiss"]) == 111
+        assert len(op_calls["binom"]) == 66
+        assert set(op_calls["determinant_bareiss"]) == {1, 2}
+
+    def test_no_memo_outlives_a_sweep(self, op_calls):
+        counts = []
+        for _ in range(2):
+            run_table(d=3, n=7)
+            counts.append(len(op_calls["determinant_bareiss"]) - sum(counts))
+        assert counts == [111, 111]
+
+    def test_table_det_digest(self):
+        # The table_det gate of the layered benchmark.
+        out = run_table(d=4, n=11)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "8a405cd26c88601df1ccdb3b00d1553230bf685418761b399f6d84f3db77e1db"
+        )
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="--jobs"):
             run_table(d=1, n=3, jobs=0)

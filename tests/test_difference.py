@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmult import difference
 from grassmult.difference import (
     MAX_BOX_POINTS,
     CheckReport,
@@ -16,20 +15,6 @@ from grassmult.difference import (
     delta_eval,
     eval_poly,
 )
-
-
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    """Count the determinants the box checks evaluate."""
-    calls = []
-    real = difference.determinant_bareiss
-
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(difference, "determinant_bareiss", counted)
-    return calls
 
 
 small_shifts = st.integers(1, 3).flatmap(
@@ -170,21 +155,29 @@ class TestBoxValues:
         expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
         assert _box_values(shifts, lo, hi, None) == expected
 
-    def test_minor_count(self, bareiss_calls):
+    def test_minor_count(self, op_calls):
         # 2 * C(4, 2) * 13**2 minors per box of [-6, 6]^4, none per point
+        orders = op_calls["determinant_bareiss"]
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
-        assert len(bareiss_calls) == 2028
+        assert len(orders) == 2028
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
-        assert len(bareiss_calls) == 2028 + 4056
-        assert set(bareiss_calls) == {2}
+        assert len(orders) == 2028 + 4056
+        assert set(orders) == {2}
 
-    def test_cost_bound_before_any_work(self, bareiss_calls):
+    def test_binom_count(self, op_calls):
+        # 3 boxes x 2 halves x 2 columns x 13 values x 4 rows, one binom per
+        # distinct (value, shift) column of a half and none per point
+        assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
+        assert check_shift_identity((0, 1, 0, 3), 2, (-5, 6)).ok
+        assert len(op_calls["binom"]) == 624
+
+    def test_cost_bound_before_any_work(self, op_calls):
         assert 13**9 > MAX_BOX_POINTS
         with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
             check_difference_eq((0,) * 9, (-5, 6))
         with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
             check_shift_identity((0,) * 9, 1, (-5, 6))
-        assert bareiss_calls == []
+        assert op_calls == {"binom": [], "determinant_bareiss": []}
 
 
 class TestRejectsCoercion:

@@ -13,6 +13,7 @@ from grassmult.multiplicity import (
     InvariantError,
     MultiplicityRecord,
     RouteInapplicableError,
+    _sweep,
     alternating_vandermonde_sum,
     degree,
     frobenius_coordinates,
@@ -48,6 +49,20 @@ class TestShiftsAndDegree:
     def test_requires_containment(self):
         with pytest.raises(ValueError, match="cell not contained in variety"):
             s_vector(validate((1, 2), 4), validate((2, 4), 4))
+
+    def test_s_vector_equals_brute_count(self):
+        pairs = 0
+        for n in range(1, 10):
+            for d in range(1, n + 1):
+                cells = list(enumerate_indices(d, n))
+                for i in cells:
+                    for j in cells:
+                        if all(a <= b for a, b in zip(j.entries, i.entries)):
+                            pairs += 1
+                            assert s_vector(i, j) == tuple(
+                                sum(1 for jp in j.entries if jp > iq) for iq in i.entries
+                            )
+        assert pairs == 23703
 
 
 class TestRoutesOnFrozenPairs:
@@ -94,6 +109,16 @@ class TestRoutesOnFrozenPairs:
         j = validate((1, 3), 4)
         with pytest.raises(RouteInapplicableError, match="j_d <= i_1"):
             mult_product(i, j)
+
+
+class TestDeterminantSweep:
+    def test_equals_mult_det(self):
+        # d = 1 has an empty left half; even d has halves of one key shape
+        for n in range(1, 10):
+            for d in range(1, n + 1):
+                cells = list(enumerate_indices(d, n))
+                for j, (ups, column) in zip(cells, _sweep(cells, ("determinant",))):
+                    assert column == [mult_det(i, j) for i in ups]
 
 
 class TestRecurrence:
