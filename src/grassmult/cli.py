@@ -10,16 +10,12 @@ left a remainder, or a computed record broke an invariant).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import islice
-from multiprocessing import Pool
+from itertools import chain
 
 from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
@@ -32,15 +28,15 @@ from .multiplicity import (
     MultiplicityRecord,
     RouteInapplicableError,
     _evaluate,
-    _interval_entries,
     _refusal,
+    _require_multiplicity,
     _require_pair,
     _sweep,
 )
 
 # Largest n a sweep runs without --force; sweeps grow like C(n, d)^2.
 GUARD = 12
-CSV_HEADER = ("n", "d", "i", "j", "route", "value")
+CSV_HEADER = "n,d,i,j,route,value\n"
 
 
 class GuardExceededError(ValueError):
@@ -87,27 +83,24 @@ def _normalize_routes(route_args) -> tuple[str, ...] | None:
     return tuple(r for r in ROUTES if r in chosen)
 
 
-def _record_row(record: MultiplicityRecord) -> tuple:
+def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int) -> str:
+    """One checked row as its final text: a CSV line, or the object that
+    json.dumps(rows, indent=2) writes for it (no field needs escaping)."""
+    _require_multiplicity(value)
+    if fmt == "csv":
+        return f"{n},{d},{i},{j},{route},{value}\n"
     return (
-        record.n,
-        record.i.d,
-        str(record.i),
-        str(record.j),
-        record.route,
-        str(record.value),
+        f'  {{\n    "n": {n},\n    "d": {d},\n    "i": "{i}",\n    "j": "{j}",\n'
+        f'    "route": "{route}",\n    "value": "{value}"\n  }}'
     )
 
 
-def _render_rows(rows, fmt: str) -> str:
-    """Rows as CSV under CSV_HEADER, or as a JSON array of objects keyed
-    by it."""
+def _document(rows, fmt: str) -> str:
+    """Row texts in order as one CSV or JSON document."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-        return buf.getvalue()
-    return json.dumps([dict(zip(CSV_HEADER, row)) for row in rows], indent=2) + "\n"
+        return "".join(chain((CSV_HEADER,), rows))
+    body = ",\n".join(rows)
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -160,11 +153,9 @@ def cmd_compute(args) -> int:
         for route in routes:
             if refusal := _refusal(route, i, j):
                 raise RouteInapplicableError(refusal)
-    rows = [
-        _record_row(MultiplicityRecord(args.n, i, j, _evaluate(route, i, j, {}), route))
-        for route in routes
-    ]
-    _emit(_render_rows(rows, args.format), args.out)
+    records = (MultiplicityRecord(args.n, i, j, _evaluate(r, i, j, {}), r) for r in routes)
+    rows = [_row(args.format, args.n, i.d, str(i), str(j), r.route, r.value) for r in records]
+    _emit(_document(rows, args.format), args.out)
     return 0
 
 
@@ -172,8 +163,20 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _table_columns(payload) -> list[list]:
-    return [column for _, column in _sweep(*payload)]
+def _table_cells(cells, routes, fmt, names, rank) -> list[list[tuple[int, str]]]:
+    """Sweep worker: the rows of each dealt cell j as (rank of i, final
+    row text), in order of i, then route."""
+    width = len(routes)
+    out = []
+    for j, (ups, column) in zip(cells, _sweep(cells, routes)):
+        n, d, j_name = j.n, j.d, names[j.entries]
+        out.append([
+            (rank[i.entries], _row(fmt, n, d, names[i.entries], j_name, route, value))
+            for p, i in enumerate(ups)
+            for route, value in zip(routes, column[p * width : (p + 1) * width])
+            if value is not None
+        ])
+    return out
 
 
 def _pool_size(jobs: int, shards: int, cpus: int) -> int:
@@ -191,29 +194,24 @@ def run_table(
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     cells = list(enumerate_indices(d, n))
+    names = {i.entries: str(i) for i in cells}
+    rank = {i.entries: r for r, i in enumerate(cells)}
     workers = _pool_size(jobs, len(cells), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the cell order, so
     # contiguous blocks would leave the first worker most of the pairs.
-    payloads = [(cells[w::workers], routes) for w in range(workers)]
+    payloads = [(cells[w::workers], routes, fmt, names, rank) for w in range(workers)]
     if workers == 1:
-        dealt = [_table_columns(payloads[0])]
+        dealt = [_table_cells(*payloads[0])]
     else:
+        from multiprocessing import Pool
         with Pool(processes=workers) as pool:
-            dealt = pool.map(_table_columns, payloads)
-    # Each column lists its pairs by i, so walking every i and the cells
-    # below it takes each column's values in order, whatever the workers.
-    streams = {}
-    for (dealt_cells, _), columns in zip(payloads, dealt):
-        streams.update((j.entries, (j, iter(col))) for j, col in zip(dealt_cells, columns))
-    width = len(routes)
-    rows = []
-    for i in cells:
-        for floor in _interval_entries(cells[0].entries, i.entries):
-            j, stream = streams[floor]
-            for route, value in zip(routes, islice(stream, width)):
-                if value is not None:
-                    rows.append(_record_row(MultiplicityRecord(n, i, j, value, route)))
-    return _render_rows(rows, fmt)
+            dealt = pool.starmap(_table_cells, payloads)
+    # Walking the cells in order fills each i's bucket in order of j.
+    buckets: list[list[str]] = [[] for _ in cells]
+    for c in range(len(cells)):  # cell c was dealt to worker c % workers
+        for r, text in dealt[c % workers][c // workers]:
+            buckets[r].append(text)
+    return _document(chain.from_iterable(buckets), fmt)
 
 
 def cmd_table(args) -> int:
@@ -312,6 +310,7 @@ def _render_verify_text(report: VerifyReport) -> str:
 
 
 def _render_verify_json(report: VerifyReport) -> str:
+    import json
     return json.dumps({**asdict(report), "ok": report.ok}, indent=2) + "\n"
 
 

@@ -103,8 +103,13 @@ class MultiplicityRecord:
     def __post_init__(self) -> None:
         if self.route not in ROUTES:
             raise InvariantError(f"unknown route {self.route!r}")
-        if self.value < 1:
-            raise InvariantError(f"multiplicity must be >= 1, got {self.value}")
+        _require_multiplicity(self.value)
+
+
+def _require_multiplicity(value: int) -> None:
+    """The one check of a computed value: a multiplicity is >= 1."""
+    if value < 1:
+        raise InvariantError(f"multiplicity must be >= 1, got {value}")
 
 
 def _require_pair(i: GrassmannIndex, j: GrassmannIndex) -> None:
@@ -122,8 +127,13 @@ def s_vector(i: GrassmannIndex, j: GrassmannIndex) -> tuple[int, ...]:
     pair is separated (j_d <= i_1).
     """
     _require_pair(i, j)
-    js = j.entries
-    return tuple(len(js) - bisect_right(js, iq) for iq in i.entries)
+    return _shifts(i.entries, j.entries)
+
+
+def _shifts(entries: tuple[int, ...], js: tuple[int, ...]) -> tuple[int, ...]:
+    """s_vector's count on entry tuples, for a pair already known to have
+    js <= entries; performs no validation."""
+    return tuple(len(js) - bisect_right(js, iq) for iq in entries)
 
 
 def degree(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -321,7 +331,9 @@ def _sweep(
     the top down, so the first recurrence call fills j's whole column and
     every later one is a cache hit; the cache is dropped with the cell.
     The determinant is mult_det's, expanded along its column split, with
-    one half-minor memo per half that lives for this call only.
+    one half-minor memo per half that lives for this call only. Every i
+    of the up-set is >= j by construction, so its shifts are counted
+    without mult_det's per-pair containment check.
     """
     width = len(routes)
     d = cells[0].d if cells else 0
@@ -337,7 +349,8 @@ def _sweep(
             i = ups[p]
             for r, route in enumerate(routes):
                 if route == ROUTE_DETERMINANT:
-                    s, t = s_vector(i, j), i.entries
+                    t = i.entries
+                    s = _shifts(t, j.entries)
                     left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
                     right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
                     column[p * width + r] = sum(map(mul, left, right))

@@ -22,24 +22,30 @@ def cli_env():
 
 @pytest.fixture
 def op_calls(monkeypatch):
-    """Record the calls of binom and determinant_bareiss at every module
-    binding: the arguments of each binom call and the order of each
-    determinant."""
-    from grassmult import arith, difference, matrices, multiplicity
+    """Record the calls of binom, determinant_bareiss, leq and
+    _interval_entries at every module binding: the order of each
+    determinant, and the arguments of every other call."""
+    from grassmult import arith, cli, difference, indices, matrices, multiplicity
 
-    calls = {"binom": [], "determinant_bareiss": []}
-    real_binom, real_det = arith.binom, matrices.determinant_bareiss
+    homes = {
+        "binom": arith,
+        "determinant_bareiss": matrices,
+        "leq": indices,
+        "_interval_entries": multiplicity,
+    }
+    calls = {name: [] for name in homes}
 
-    def binom(a, b):
-        calls["binom"].append((a, b))
-        return real_binom(a, b)
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name].append(len(args[0]) if name == "determinant_bareiss" else args)
+            return real(*args)
 
-    def determinant_bareiss(rows):
-        calls["determinant_bareiss"].append(len(rows))
-        return real_det(rows)
+        return wrapper
 
-    for module in (arith, matrices, difference, multiplicity):
-        for counted in (binom, determinant_bareiss):
-            if hasattr(module, counted.__name__):
-                monkeypatch.setattr(module, counted.__name__, counted)
+    for name, home in homes.items():
+        real = getattr(home, name)
+        wrapper = counted(name, real)
+        for module in (arith, matrices, difference, indices, multiplicity, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     return calls

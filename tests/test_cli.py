@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import resource
 import signal
@@ -15,7 +16,6 @@ import threading
 import pytest
 
 import grassmult
-import grassmult.cli as cli
 import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
@@ -160,22 +160,25 @@ class TestTable:
         # 20 pairs x 3 always-on routes, 5 separated pairs, 6 base cells
         assert len(out.splitlines()) == 72
 
-    def test_jobs_do_not_change_bytes(self):
+    def test_jobs_do_not_change_bytes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = run_table(d=2, n=5, routes=("determinant", "recurrence"))
         parallel = run_table(d=2, n=5, routes=("determinant", "recurrence"), jobs=3)
         assert serial == parallel
+        everything = dict(d=3, n=7, routes=multiplicity.ROUTES, fmt="json")
+        assert run_table(**everything, jobs=2) == run_table(**everything, jobs=1)
 
     def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch):
         # Measured with --jobs 1 and 2 before the sweep was dealt by cells.
         pools = []
-        real_pool = cli.Pool
+        real_pool = multiprocessing.Pool
 
         def counted_pool(processes):
             pools.append(processes)
             return real_pool(processes=processes)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(cli, "Pool", counted_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
         code, out, _ = run_cli(
             capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
         )
@@ -206,6 +209,25 @@ class TestTable:
         assert len(op_calls["determinant_bareiss"]) == 111
         assert len(op_calls["binom"]) == 66
         assert set(op_calls["determinant_bareiss"]) == {1, 2}
+
+    def test_no_containment_check_per_pair(self, op_calls):
+        # Each up-set is built above its cell: one interval walk per cell
+        # and no leq call, against 490 and 70 when every pair was checked.
+        run_table(d=3, n=7)
+        assert op_calls["leq"] == []
+        assert len(op_calls["_interval_entries"]) == 35
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
+        # Forked workers inherit the patched route.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiplicity, "mult_rec", lambda i, j, cache=None: 0)
+        code, out, err = run_cli(
+            capsys, "table", "--d", "2", "--n", "4", "--route", "recurrence", "--jobs", jobs
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: multiplicity must be >= 1, got 0\n"
 
     def test_no_memo_outlives_a_sweep(self, op_calls):
         counts = []
@@ -417,10 +439,22 @@ GOLDEN = [
          "--format", "json"),
         "3fa115b08288a606c20c77a3503983acf86a9b1c4e77c6e0d8d5a52950df714e",
     ),
+    (
+        ("compute", "--n", "7", "--i", "3,5,7", "--j", "1,2,3", "--route", "all"),
+        "97ff9bd6cec38cf03e97114d1ff8644dadb4b4a0882b5db39dd2d5a6d91b569c",
+    ),
+    (
+        # No pair of I(3, 4) is separated, so the table has no rows.
+        ("table", "--d", "3", "--n", "4", "--route", "product", "--format", "json"),
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["table_csv", "table_json", "compute_json"])
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN,
+    ids=["table_csv", "table_json", "compute_json", "compute_csv", "table_json_empty"],
+)
 def test_golden_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0

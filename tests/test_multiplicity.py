@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from strategies import index_pairs
 
 from grassmult.difference import eval_poly
-from grassmult.indices import enumerate_indices, validate
+from grassmult.indices import enumerate_indices, leq, validate
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
@@ -119,6 +119,14 @@ class TestDeterminantSweep:
                 cells = list(enumerate_indices(d, n))
                 for j, (ups, column) in zip(cells, _sweep(cells, ("determinant",))):
                     assert column == [mult_det(i, j) for i in ups]
+
+    def test_up_sets_are_brute_force_up_sets(self):
+        # Why the sweep may skip the containment check on each pair.
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                cells = list(enumerate_indices(d, n))
+                for j, (ups, _) in zip(cells, _sweep(cells, ())):
+                    assert ups == [i for i in cells if leq(j, i)]
 
 
 class TestRecurrence:
