@@ -19,13 +19,12 @@ from itertools import chain
 
 from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
-from .indices import _require_dims, enumerate_indices, validate
+from .indices import GrassmannIndex, _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
     ROUTES,
     InvariantError,
-    MultiplicityRecord,
     RouteInapplicableError,
     _evaluate,
     _refusal,
@@ -153,8 +152,7 @@ def cmd_compute(args) -> int:
         for route in routes:
             if refusal := _refusal(route, i, j):
                 raise RouteInapplicableError(refusal)
-    records = (MultiplicityRecord(args.n, i, j, _evaluate(r, i, j, {}), r) for r in routes)
-    rows = [_row(args.format, args.n, i.d, str(i), str(j), r.route, r.value) for r in records]
+    rows = [_row(args.format, args.n, i.d, str(i), str(j), r, _evaluate(r, i, j)) for r in routes]
     _emit(_document(rows, args.format), args.out)
     return 0
 
@@ -166,14 +164,13 @@ def cmd_compute(args) -> int:
 def _table_cells(cells, routes, fmt, names, rank) -> list[list[tuple[int, str]]]:
     """Sweep worker: the rows of each dealt cell j as (rank of i, final
     row text), in order of i, then route."""
-    width = len(routes)
     out = []
-    for j, (ups, column) in zip(cells, _sweep(cells, routes)):
+    for j, (ups, rows) in zip(cells, _sweep(cells, routes)):
         n, d, j_name = j.n, j.d, names[j.entries]
         out.append([
-            (rank[i.entries], _row(fmt, n, d, names[i.entries], j_name, route, value))
-            for p, i in enumerate(ups)
-            for route, value in zip(routes, column[p * width : (p + 1) * width])
+            (rank[i], _row(fmt, n, d, names[i], j_name, route, value))
+            for i, row in zip(ups, rows)
+            for route, value in zip(routes, row)
             if value is not None
         ])
     return out
@@ -272,17 +269,15 @@ def run_verification(d: int, n: int, seed: int = 0) -> VerifyReport:
     report = VerifyReport(d=d, n=n, seed=seed)
     start = time.perf_counter()
     cells = list(enumerate_indices(d, n))
-    width = len(ROUTES)
-    for j, (ups, column) in zip(cells, _sweep(cells, ROUTES)):
-        for p, i in enumerate(ups):
-            # ROUTES starts with the determinant, which covers every pair.
-            det, *others = column[p * width : (p + 1) * width]
+    # ROUTES starts with the determinant, which covers every pair.
+    for j, (ups, rows) in zip(cells, _sweep(cells, ROUTES)):
+        for i, (det, *others) in zip(ups, rows):
             report.pairs_checked += 1
             for route, value in zip(ROUTES[1:], others):
                 if value is not None and value != det:
                     report.mismatches.append(dict(
-                        i=str(i), j=str(j), route_a=ROUTE_DETERMINANT, value_a=str(det),
-                        route_b=route, value_b=str(value),
+                        i=str(GrassmannIndex(i, n)), j=str(j), route_a=ROUTE_DETERMINANT,
+                        value_a=str(det), route_b=route, value_b=str(value),
                     ))
     rng = random.Random(seed)
     report.identities_checked.extend(_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES)
@@ -336,7 +331,7 @@ def cmd_bench(args) -> int:
     for route in routes:
         start = time.perf_counter()
         for _ in range(args.reps):
-            pairs = sum(v is not None for _, column in _sweep(cells, (route,)) for v in column)
+            pairs = sum(v is not None for _, rows in _sweep(cells, (route,)) for (v,) in rows)
         elapsed = time.perf_counter() - start
         done = pairs * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")

@@ -92,7 +92,7 @@ class FrobeniusCoordinates:
 
 @dataclass(frozen=True)
 class MultiplicityRecord:
-    """One computed multiplicity with its context; the unit of table output."""
+    """One computed multiplicity with its context, checked on construction."""
 
     n: int
     i: GrassmannIndex
@@ -164,19 +164,24 @@ def mult_rec(
     The cache maps entry tuples to values and is only meaningful for a
     fixed j and n. Reuse it across calls with the same j to share work;
     when fanning out over processes or threads, keep one cache per worker
-    or guard it externally.
+    or guard it externally. Table sweeps run its fill loop directly.
     """
     _require_pair(i, j)
     if cache is None:
         cache = {}
-    floor = j.entries
+    if i.entries not in cache:
+        _fill_recurrence(j.entries, _interval_entries(j.entries, i.entries), cache)
+    return cache[i.entries]
+
+
+def _fill_recurrence(floor: tuple[int, ...], interval: list, cache: dict) -> None:
+    """mult_rec's fill loop: enter every tuple of interval, a lexicographic
+    run of entry tuples k >= floor that is closed under covering moves down
+    to floor, into the cache of floor; performs no validation."""
     cache.setdefault(floor, 1)
-    target = i.entries
-    if target in cache:
-        return cache[target]
     d = len(floor)
     floor_set = set(floor)
-    for k in _interval_entries(floor, target):
+    for k in interval:
         if k in cache:
             continue
         total = 0
@@ -184,7 +189,6 @@ def mult_rec(
             total += cache[neighbor]
         deg = d - sum(1 for e in k if e in floor_set)
         cache[k] = exact_div(total, deg)
-    return cache[target]
 
 
 def _interval_entries(
@@ -302,14 +306,14 @@ def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
     return None
 
 
-def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, cache: dict) -> int:
-    """Value of route on a pair it covers; cache is the recurrence cache
-    of j. Route functions are looked up by module name at each call, never
-    held, so a wrapper set on this module sees every call."""
+def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
+    """Value of route on a pair it covers. Route functions are looked up
+    by module name at each call, never held, so a wrapper set on this
+    module sees every call."""
     if route == ROUTE_DETERMINANT:
         return mult_det(i, j)
     if route == ROUTE_RECURRENCE:
-        return mult_rec(i, j, cache)
+        return mult_rec(i, j)
     if route == ROUTE_SUM:
         return mult_sum(i, j)
     if route == ROUTE_PRODUCT:
@@ -321,39 +325,40 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex, cache: dict) -> 
 
 def _sweep(
     cells: Sequence[GrassmannIndex], routes: Sequence[str]
-) -> Iterator[tuple[list[GrassmannIndex], list[int | None]]]:
-    """For each cell j of cells (all of one d), its up-set {i >= j} in
-    lexicographic order and the flat column of route values over it:
-    len(routes) entries per pair, None where a route does not cover the
-    pair.
-
-    The up-set is the interval from j to the top index and is walked from
-    the top down, so the first recurrence call fills j's whole column and
-    every later one is a cache hit; the cache is dropped with the cell.
-    The determinant is mult_det's, expanded along its column split, with
-    one half-minor memo per half that lives for this call only. Every i
-    of the up-set is >= j by construction, so its shifts are counted
-    without mult_det's per-pair containment check.
+) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int | None, ...]]]]:
+    """For each cell j of cells (all of one d): the entry tuples of its
+    up-set {i >= j} in lexicographic order, walked once as the interval
+    from j to the top index, and one tuple of route values per pair, None
+    where a route does not cover the pair. Each route fills its own column
+    over the up-set: the determinant by mult_det's column split, with one
+    half-minor memo per half for this call only; the recurrence by
+    mult_rec's fill loop, with a cache dropped with the cell; the others
+    through _refusal and _evaluate. Every i is >= j by construction, so
+    the first two check no containment per pair.
     """
-    width = len(routes)
     d = cells[0].d if cells else 0
     h, left_rows, right_rows = _laplace_split(d)
     left_memo: dict = {}
     right_memo: dict = {}
     for j in cells:
-        top = tuple(range(j.n - j.d + 1, j.n + 1))
-        ups = [GrassmannIndex(k, j.n) for k in _interval_entries(j.entries, top)]
-        column: list[int | None] = [None] * (len(ups) * width)
-        cache: dict = {}
-        for p in range(len(ups) - 1, -1, -1):
-            i = ups[p]
-            for r, route in enumerate(routes):
-                if route == ROUTE_DETERMINANT:
-                    t = i.entries
-                    s = _shifts(t, j.entries)
+        js = j.entries
+        ups = _interval_entries(js, tuple(range(j.n - d + 1, j.n + 1)))
+        points = None
+        columns = []
+        for route in routes:
+            if route == ROUTE_DETERMINANT:
+                column = []
+                for t in ups:
+                    s = _shifts(t, js)
                     left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
                     right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
-                    column[p * width + r] = sum(map(mul, left, right))
-                elif not _refusal(route, i, j):
-                    column[p * width + r] = _evaluate(route, i, j, cache)
-        yield ups, column
+                    column.append(sum(map(mul, left, right)))
+            elif route == ROUTE_RECURRENCE:
+                cache: dict = {}
+                _fill_recurrence(js, ups, cache)
+                column = [cache[t] for t in ups]
+            else:
+                points = points or [GrassmannIndex(t, j.n) for t in ups]
+                column = [None if _refusal(route, i, j) else _evaluate(route, i, j) for i in points]
+            columns.append(column)
+        yield ups, list(zip(*columns))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import importlib
 import inspect
 import json
 import multiprocessing
@@ -12,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -190,17 +193,16 @@ class TestTable:
 
     def test_recurrence_fills_each_value_once(self, monkeypatch):
         fills = []
-        real_rec = multiplicity.mult_rec
+        real_fill = multiplicity._fill_recurrence
 
-        def counted_rec(i, j, cache=None):
+        def counted_fill(floor, interval, cache):
             before = len(cache)
-            value = real_rec(i, j, cache)
+            real_fill(floor, interval, cache)
             fills.append(len(cache) - before)
-            return value
 
-        monkeypatch.setattr(multiplicity, "mult_rec", counted_rec)
+        monkeypatch.setattr(multiplicity, "_fill_recurrence", counted_fill)
         run_table(d=3, n=7, routes=("recurrence",))
-        assert len(fills) == 490
+        assert len(fills) == 35
         assert sum(fills) == 490
 
     def test_determinant_op_counts(self, op_calls):
@@ -212,16 +214,21 @@ class TestTable:
 
     def test_no_containment_check_per_pair(self, op_calls):
         # Each up-set is built above its cell: one interval walk per cell
-        # and no leq call, against 490 and 70 when every pair was checked.
-        run_table(d=3, n=7)
-        assert op_calls["leq"] == []
+        # for any routes, and no leq call on the determinant or recurrence
+        # column, against 490 leq calls when each pair is checked.
+        for routes in (("determinant",), ("recurrence",)):
+            run_table(d=3, n=7, routes=routes)
+            assert op_calls["leq"] == []
+            assert len(op_calls["_interval_entries"]) == 35
+            op_calls["_interval_entries"].clear()
+        run_table(d=3, n=7, routes=multiplicity.ROUTES)
         assert len(op_calls["_interval_entries"]) == 35
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
-        # Forked workers inherit the patched route.
+        # Forked workers inherit the patched division.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiplicity, "mult_rec", lambda i, j, cache=None: 0)
+        monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
         code, out, err = run_cli(
             capsys, "table", "--d", "2", "--n", "4", "--route", "recurrence", "--jobs", jobs
         )
@@ -242,6 +249,16 @@ class TestTable:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "8a405cd26c88601df1ccdb3b00d1553230bf685418761b399f6d84f3db77e1db"
         )
+
+    def test_table_rec_par_digest(self, monkeypatch):
+        # The table_rec_par gate of the layered benchmark, run serially
+        # and through a pool of two workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):
+            out = run_table(d=4, n=10, routes=("recurrence",), jobs=jobs)
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+                "d2c144ed8dc7d17998d56260756c78fe0be06abc57ffe442ef51118ea9de4fbc"
+            )
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="--jobs"):
@@ -503,3 +520,19 @@ def test_public_surface():
     }
     public = {name for name in vars(grassmult) if not name.startswith("_")}
     assert public == set(grassmult.__all__) | submodules
+
+
+def test_traced_layer_functions_exist():
+    # The benchmark's tracer refuses to run unless each function it names
+    # is defined in its grassmult module; a rename shows here first.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    required = next(
+        ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "REQUIRED"
+    )
+    assert required
+    for name in required:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"grassmult.{layer}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from strategies import index_pairs
 
 from grassmult.difference import eval_poly
-from grassmult.indices import enumerate_indices, leq, validate
+from grassmult.indices import GrassmannIndex, enumerate_indices, leq, validate
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
     InvariantError,
     MultiplicityRecord,
     RouteInapplicableError,
+    _evaluate,
+    _refusal,
     _sweep,
     alternating_vandermonde_sum,
     degree,
@@ -117,8 +119,8 @@ class TestDeterminantSweep:
         for n in range(1, 10):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, column) in zip(cells, _sweep(cells, ("determinant",))):
-                    assert column == [mult_det(i, j) for i in ups]
+                for j, (ups, rows) in zip(cells, _sweep(cells, ("determinant",))):
+                    assert rows == [(mult_det(GrassmannIndex(t, n), j),) for t in ups]
 
     def test_up_sets_are_brute_force_up_sets(self):
         # Why the sweep may skip the containment check on each pair.
@@ -126,7 +128,18 @@ class TestDeterminantSweep:
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
                 for j, (ups, _) in zip(cells, _sweep(cells, ())):
-                    assert ups == [i for i in cells if leq(j, i)]
+                    assert ups == [i.entries for i in cells if leq(j, i)]
+
+    def test_every_column_equals_its_route(self):
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                cells = list(enumerate_indices(d, n))
+                for j, (ups, rows) in zip(cells, _sweep(cells, ROUTES)):
+                    for t, row in zip(ups, rows):
+                        i = GrassmannIndex(t, n)
+                        assert row == tuple(
+                            None if _refusal(r, i, j) else _evaluate(r, i, j) for r in ROUTES
+                        )
 
 
 class TestRecurrence:
