@@ -26,6 +26,7 @@ from .multiplicity import (
     ROUTES,
     InvariantError,
     RouteInapplicableError,
+    _covers,
     _evaluate,
     _refusal,
     _require_multiplicity,
@@ -146,7 +147,7 @@ def cmd_compute(args) -> int:
         raise ValueError(f"--i and --j must have the same length, got {i.d} and {j.d}")
     _require_pair(i, j)
     if not args.route or "all" in args.route:
-        routes = tuple(r for r in ROUTES if not _refusal(r, i, j))
+        routes = tuple(r for r in ROUTES if _covers(r, i.entries, j.entries))
     else:
         routes = _normalize_routes(args.route)
         for route in routes:

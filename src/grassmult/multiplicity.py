@@ -17,7 +17,10 @@ Routes:
                     authoritative oracle the other routes are checked
                     against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
-                    products over a box of offsets.
+                    products over a box of offsets, built one coordinate
+                    at a time from memoized prefix terms that are dropped
+                    once two shifted values collide; a table keeps one
+                    memo per cell.
 * ``mult_product``  closed product form, applicable only to separated
                     pairs (j_d <= i_1).
 * ``mult_weyman``   determinant in the Frobenius coordinates of the
@@ -30,7 +33,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import product
 from operator import mul
 
 from .arith import _require_int, binom, exact_div, factorial_superproduct
@@ -220,19 +222,47 @@ def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> 
     expression itself is defined for every integer point.
     """
     _require_columns(point, shifts)
-    d = len(shifts)
-    weights = [[binom(s, k) for k in range(s + 1)] for s in shifts]
-    base = tuple(point)
-    total = 0
-    for offsets in product(*(range(s + 1) for s in shifts)):
-        v = vandermonde([t + k for t, k in zip(base, offsets)])
-        if v == 0:
-            continue
-        w = 1
-        for per_coord, k in zip(weights, offsets):
-            w *= per_coord[k]
-        total += -w * v if sum(offsets) % 2 else w * v
-    return exact_div(total, factorial_superproduct(d))
+    return _vandermonde_sum({}, tuple(shifts), tuple(point))
+
+
+def _vandermonde_sum(memo: dict, shifts: tuple[int, ...], point: tuple[int, ...]) -> int:
+    """The sum route's engine: alternating_vandermonde_sum on checked
+    tuples, performing no validation.
+
+    A term is the tuple of shifted values t_q + k_q so far with its signed
+    weight times their Vandermonde product. The terms of each proper prefix
+    are built from those of the prefix one shorter and kept in memo, keyed
+    by (point prefix, shifts prefix); the last coordinate is only summed.
+    """
+    terms: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for q in range(1, len(point)):
+        key = (point[:q], shifts[:q])
+        prefix = memo.get(key)
+        if prefix is None:
+            prefix = memo[key] = [
+                (values + (y,), c) for values, y, c in _extend(terms, point[q - 1], shifts[q - 1])
+            ]
+        terms = prefix
+    total = sum(c for _, _, c in _extend(terms, point[-1], shifts[-1]))
+    return exact_div(total, factorial_superproduct(len(point)))
+
+
+def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each term (values, c) extended by y = t + k for k = 0..s, as
+    (values, y, c'): c' is c times (-1)^k binom(s, k) times y - x for every
+    x of values. A term with y among its values has product zero and is
+    dropped."""
+    for k in range(s + 1):
+        y = t + k
+        w = -binom(s, k) if k % 2 else binom(s, k)
+        for values, c in terms:
+            c *= w
+            for x in values:
+                if x == y:
+                    break
+                c *= y - x
+            else:
+                yield values, y, c
 
 
 def mult_sum(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -294,16 +324,25 @@ def mult_weyman(i: GrassmannIndex) -> int:
 # mult_product's guard)
 
 
+def _covers(route: str, i_entries: tuple[int, ...], j_entries: tuple[int, ...]) -> bool:
+    """Whether route covers the pair j <= i, given by entry tuples."""
+    if route == ROUTE_PRODUCT:
+        return j_entries[-1] <= i_entries[0]
+    if route == ROUTE_WEYMAN:
+        return j_entries == tuple(range(1, len(j_entries) + 1))
+    return True
+
+
 def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
     """Why route does not cover the pair j <= i, or None when it does."""
-    if route == ROUTE_PRODUCT and j.entries[-1] > i.entries[0]:
+    if _covers(route, i.entries, j.entries):
+        return None
+    if route == ROUTE_PRODUCT:
         return (
             f"route 'product' needs j_d <= i_1, "
             f"got j_d={j.entries[-1]} > i_1={i.entries[0]}"
         )
-    if route == ROUTE_WEYMAN and j.entries != tuple(range(1, j.d + 1)):
-        return f"route 'weyman' is defined only for j = (1..d), got j={j}"
-    return None
+    return f"route 'weyman' is defined only for j = (1..d), got j={j}"
 
 
 def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -332,9 +371,11 @@ def _sweep(
     where a route does not cover the pair. Each route fills its own column
     over the up-set: the determinant by mult_det's column split, with one
     half-minor memo per half for this call only; the recurrence by
-    mult_rec's fill loop, with a cache dropped with the cell; the others
-    through _refusal and _evaluate. Every i is >= j by construction, so
-    the first two check no containment per pair.
+    mult_rec's fill loop, with a cache dropped with the cell; the sum by
+    its prefix-term engine, with a memo dropped with the cell; the others
+    through _covers and _evaluate. Every i is >= j by construction, so the
+    first three check no containment per pair; the determinant and the sum
+    share the cell's shift vectors, counted once.
     """
     d = cells[0].d if cells else 0
     h, left_rows, right_rows = _laplace_split(d)
@@ -343,13 +384,14 @@ def _sweep(
     for j in cells:
         js = j.entries
         ups = _interval_entries(js, tuple(range(j.n - d + 1, j.n + 1)))
-        points = None
+        shifts = points = None
         columns = []
         for route in routes:
+            if route in (ROUTE_DETERMINANT, ROUTE_SUM):
+                shifts = shifts or [_shifts(t, js) for t in ups]
             if route == ROUTE_DETERMINANT:
                 column = []
-                for t in ups:
-                    s = _shifts(t, js)
+                for t, s in zip(ups, shifts):
                     left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
                     right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
                     column.append(sum(map(mul, left, right)))
@@ -357,8 +399,15 @@ def _sweep(
                 cache: dict = {}
                 _fill_recurrence(js, ups, cache)
                 column = [cache[t] for t in ups]
+            elif route == ROUTE_SUM:
+                memo: dict = {}
+                column = [_vandermonde_sum(memo, s, t) for t, s in zip(ups, shifts)]
             else:
                 points = points or [GrassmannIndex(t, j.n) for t in ups]
-                column = [None if _refusal(route, i, j) else _evaluate(route, i, j) for i in points]
+                if route == ROUTE_WEYMAN:  # its scope depends on j alone
+                    covered = [_covers(route, js, js)] * len(ups)
+                else:
+                    covered = [_covers(route, t, js) for t in ups]
+                column = [_evaluate(route, i, j) if c else None for i, c in zip(points, covered)]
             columns.append(column)
         yield ups, list(zip(*columns))

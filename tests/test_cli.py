@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,59 @@ class TestTable:
             counts.append(len(op_calls["determinant_bareiss"]) - sum(counts))
         assert counts == [111, 111]
 
+    def test_scope_tested_without_a_message(self, monkeypatch):
+        # Product's scope is tested on each of the 490 pairs, weyman's once
+        # per cell. No refusal is formatted: the only _refusal calls are
+        # mult_product's own guard on the 28 separated pairs.
+        scopes, refusals = [], []
+        real_covers, real_refusal = multiplicity._covers, multiplicity._refusal
+
+        def counted_covers(route, i_entries, j_entries):
+            scopes.append(route)
+            return real_covers(route, i_entries, j_entries)
+
+        def counted_refusal(route, i, j):
+            refusals.append(real_refusal(route, i, j))
+            return refusals[-1]
+
+        monkeypatch.setattr(multiplicity, "_covers", counted_covers)
+        monkeypatch.setattr(multiplicity, "_refusal", counted_refusal)
+        run_table(d=3, n=7, routes=multiplicity.ROUTES)
+        assert sorted(Counter(scopes).items()) == [("product", 518), ("weyman", 35)]
+        assert refusals == [None] * 28
+
+    def test_one_shift_vector_per_pair(self, monkeypatch):
+        # The determinant and sum columns share each cell's shift vectors.
+        calls = []
+        real_shifts = multiplicity._shifts
+
+        def counted(entries, js):
+            calls.append(entries)
+            return real_shifts(entries, js)
+
+        monkeypatch.setattr(multiplicity, "_shifts", counted)
+        run_table(d=3, n=7, routes=("determinant", "sum"))
+        assert len(calls) == 490
+
+    def test_sum_memo_lives_for_one_cell(self, monkeypatch):
+        # 1 441 prefix terms against 2 044 offset vectors of one Vandermonde
+        # product each; one memo for the whole sweep would build 186.
+        memos: dict = {}
+        real_sum = multiplicity._vandermonde_sum
+
+        def recorded(memo, shifts, point):
+            memos[id(memo)] = memo
+            return real_sum(memo, shifts, point)
+
+        monkeypatch.setattr(multiplicity, "_vandermonde_sum", recorded)
+        counts = []
+        for _ in range(2):
+            run_table(d=3, n=7, routes=("sum",))
+            terms = sum(len(prefix) for memo in memos.values() for prefix in memo.values())
+            counts.append((len(memos), terms))
+            memos.clear()
+        assert counts == [(35, 1441), (35, 1441)]
+
     def test_table_det_digest(self):
         # The table_det gate of the layered benchmark.
         out = run_table(d=4, n=11)
@@ -412,8 +466,10 @@ class TestVerify:
         assert "mismatches=0" in out
 
     def test_route_table_catches_a_wrong_route(self, monkeypatch):
-        true_sum = multiplicity.mult_sum
-        monkeypatch.setattr(multiplicity, "mult_sum", lambda i, j: true_sum(i, j) + 1)
+        true_sum = multiplicity._vandermonde_sum
+        monkeypatch.setattr(
+            multiplicity, "_vandermonde_sum", lambda memo, s, t: true_sum(memo, s, t) + 1
+        )
         report = run_verification(2, 4)
         assert not report.ok
         assert len(report.mismatches) == report.pairs_checked == 20

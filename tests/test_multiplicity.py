@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+from itertools import product
+from math import comb, prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import index_pairs
 
+from grassmult.arith import factorial_superproduct
 from grassmult.difference import eval_poly
 from grassmult.indices import GrassmannIndex, enumerate_indices, leq, validate
+from grassmult.matrices import vandermonde
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
@@ -142,6 +147,15 @@ class TestDeterminantSweep:
                         )
 
 
+class TestSumSweep:
+    def test_equals_mult_sum(self):
+        for n in range(1, 10):
+            for d in range(1, n + 1):
+                cells = list(enumerate_indices(d, n))
+                for j, (ups, rows) in zip(cells, _sweep(cells, ("sum",))):
+                    assert rows == [(mult_sum(GrassmannIndex(t, n), j),) for t in ups]
+
+
 class TestRecurrence:
     def test_cache_reuse_matches_fresh(self):
         n, d = 6, 2
@@ -189,6 +203,29 @@ class TestSumRoute:
     def test_equals_determinant_family_everywhere(self, args):
         shifts, point = args
         assert alternating_vandermonde_sum(shifts, point) == eval_poly(shifts, point)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(0, 4), min_size=d, max_size=d),
+                st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+            )
+        )
+    )
+    @example(([2, 1, 3], [4, 4, -1]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_term_by_term_sum(self, args):
+        # The route's own formula: every offset vector k <= shifts gives the
+        # term (-1)^|k| prod binom(s_q, k_q) times the Vandermonde product
+        # of point + k.
+        shifts, point = args
+        total = 0
+        for offsets in product(*(range(s + 1) for s in shifts)):
+            weight = prod(comb(s, k) for s, k in zip(shifts, offsets))
+            term = weight * vandermonde([t + k for t, k in zip(point, offsets)])
+            total += -term if sum(offsets) % 2 else term
+        value = alternating_vandermonde_sum(shifts, point)
+        assert value * factorial_superproduct(len(point)) == total
 
     @given(index_pairs())
     @settings(max_examples=40)
