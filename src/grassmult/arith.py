@@ -3,7 +3,8 @@
 All values are Python ints, so magnitude is unbounded and nothing ever
 rounds. A division that is supposed to be exact but leaves a remainder is
 reported as InexactDivisionError; it always indicates a bug upstream,
-never bad input.
+never bad input. Also home of _Value, the base of the package's value
+classes, which every module can import from here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,52 @@ __all__ = ["InexactDivisionError", "exact_div", "binom", "factorial_superproduct
 
 class InexactDivisionError(ArithmeticError):
     """An integer division expected to be exact left a remainder."""
+
+
+class _Value:
+    """Base of the package's value classes. The fields are the subclass's
+    __slots__, in order, and equality, repr and pickling go by type and
+    fields. Each subclass writes its own __init__: a generic one builds
+    values almost twice as slowly."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # The default for __slots__ restores each field by setattr, which a
+        # frozen value refuses: every pool worker would die unpickling it.
+        return type(self), self._fields()
+
+
+class _Frozen(_Value):
+    """A _Value whose fields cannot be assigned or deleted once set, and
+    which hashes by its fields. A subclass's __init__ sets each field
+    through _set_field."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set_field = object.__setattr__
 
 
 def _require_int(value, name: str, pos: int | None = None) -> None:

@@ -14,10 +14,9 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import chain
 
-from .arith import InexactDivisionError, binom, factorial_superproduct
+from .arith import InexactDivisionError, _Value, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import GrassmannIndex, _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
@@ -43,18 +42,26 @@ class GuardExceededError(ValueError):
     """The requested sweep is larger than the size guard allows."""
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Value):
     """Outcome of a verification run: the route equivalence sweep over all
     pairs of one (d, n) plus seeded random identity suites."""
 
-    d: int
-    n: int
-    seed: int
-    pairs_checked: int = 0
-    mismatches: list[dict] = field(default_factory=list)
-    identities_checked: list[dict] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    __slots__ = (
+        "d", "n", "seed", "pairs_checked", "mismatches", "identities_checked", "elapsed_seconds"
+    )
+
+    def __init__(
+        self, d: int, n: int, seed: int, pairs_checked: int = 0,
+        mismatches: list[dict] | None = None, identities_checked: list[dict] | None = None,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.d = d
+        self.n = n
+        self.seed = seed
+        self.pairs_checked = pairs_checked
+        self.mismatches = [] if mismatches is None else mismatches
+        self.identities_checked = [] if identities_checked is None else identities_checked
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def ok(self) -> bool:
@@ -307,7 +314,16 @@ def _render_verify_text(report: VerifyReport) -> str:
 
 def _render_verify_json(report: VerifyReport) -> str:
     import json
-    return json.dumps({**asdict(report), "ok": report.ok}, indent=2) + "\n"
+    return json.dumps({
+        "d": report.d,
+        "n": report.n,
+        "seed": report.seed,
+        "pairs_checked": report.pairs_checked,
+        "mismatches": report.mismatches,
+        "identities_checked": report.identities_checked,
+        "elapsed_seconds": report.elapsed_seconds,
+        "ok": report.ok,
+    }, indent=2) + "\n"
 
 
 def cmd_verify(args) -> int:

@@ -19,11 +19,10 @@ and report the first counterexample when one exists.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
 
-from .arith import _require_int, binom
+from .arith import _Frozen, _require_int, _set_field, binom
 from .matrices import _require_columns, _require_shifts, build_binomial_matrix, determinant_bareiss
 
 __all__ = [
@@ -41,16 +40,21 @@ EvalFn = Callable[[Sequence[int], Sequence[int]], int]
 MAX_BOX_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """Result of a box sweep; on failure carries the lexicographically
     first counterexample point and the two side values there."""
 
-    ok: bool
-    points_checked: int
-    witness: tuple[int, ...] | None = None
-    lhs: int | None = None
-    rhs: int | None = None
+    __slots__ = ("ok", "points_checked", "witness", "lhs", "rhs")
+
+    def __init__(
+        self, ok: bool, points_checked: int, witness: tuple[int, ...] | None = None,
+        lhs: int | None = None, rhs: int | None = None,
+    ) -> None:
+        _set_field(self, "ok", ok)
+        _set_field(self, "points_checked", points_checked)
+        _set_field(self, "witness", witness)
+        _set_field(self, "lhs", lhs)
+        _set_field(self, "rhs", rhs)
 
 
 def eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:

@@ -9,10 +9,9 @@ containment of varieties.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import _require_int
+from .arith import _Frozen, _require_int, _set_field
 
 __all__ = [
     "GrassmannIndex",
@@ -23,12 +22,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrassmannIndex:
+class GrassmannIndex(_Frozen):
     """Member of the index set: entries strictly increasing within [1, n]."""
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = ("entries", "n")
+
+    def __init__(self, entries: tuple[int, ...], n: int) -> None:
+        _set_field(self, "entries", entries)
+        _set_field(self, "n", n)
 
     @property
     def d(self) -> int:

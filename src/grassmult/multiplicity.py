@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from operator import mul
 
-from .arith import _require_int, binom, exact_div, factorial_superproduct
+from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
 from .difference import _half_minors, _laplace_split, eval_poly
 from .indices import GrassmannIndex, leq, lower_neighbor_entries
 from .matrices import _require_columns, determinant_bareiss, vandermonde
@@ -50,7 +49,6 @@ __all__ = [
     "RouteInapplicableError",
     "InvariantError",
     "FrobeniusCoordinates",
-    "MultiplicityRecord",
     "s_vector",
     "degree",
     "mult_det",
@@ -79,33 +77,19 @@ class InvariantError(RuntimeError):
     bad input."""
 
 
-@dataclass(frozen=True)
-class FrobeniusCoordinates:
+class FrobeniusCoordinates(_Frozen):
     """Partition in Frobenius notation: arm and leg lengths of the diagonal
     hooks, each strictly decreasing; rank 0 encodes the empty partition."""
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
 
     @property
     def rank(self) -> int:
         return len(self.alpha)
-
-
-@dataclass(frozen=True)
-class MultiplicityRecord:
-    """One computed multiplicity with its context, checked on construction."""
-
-    n: int
-    i: GrassmannIndex
-    j: GrassmannIndex
-    value: int
-    route: str
-
-    def __post_init__(self) -> None:
-        if self.route not in ROUTES:
-            raise InvariantError(f"unknown route {self.route!r}")
-        _require_multiplicity(self.value)
 
 
 def _require_multiplicity(value: int) -> None:
@@ -279,7 +263,13 @@ def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
     _require_pair(i, j)
     if refusal := _refusal(ROUTE_PRODUCT, i, j):
         raise RouteInapplicableError(refusal)
-    return exact_div(vandermonde(i.entries), factorial_superproduct(i.d))
+    return _product(i.entries)
+
+
+def _product(entries: tuple[int, ...]) -> int:
+    """The product route's engine: mult_product on the entries of i for a
+    covered pair, performing no validation."""
+    return exact_div(vandermonde(entries), factorial_superproduct(len(entries)))
 
 
 def frobenius_coordinates(partition: Sequence[int]) -> FrobeniusCoordinates:
@@ -310,7 +300,12 @@ def mult_weyman(i: GrassmannIndex) -> int:
     binom(alpha_p + beta_q, alpha_p) over the Frobenius coordinates of the
     partition (i_d - d, ..., i_2 - 2, i_1 - 1). The empty partition (that
     is, i equal to the base cell) gives 1."""
-    lam = [i.entries[pos] - (pos + 1) for pos in range(i.d)][::-1]
+    return _weyman(i.entries)
+
+
+def _weyman(entries: tuple[int, ...]) -> int:
+    """The weyman route's engine: mult_weyman on the entries of i."""
+    lam = [entries[pos] - (pos + 1) for pos in range(len(entries))][::-1]
     coords = frobenius_coordinates(lam)
     if coords.rank == 0:
         return 1
@@ -372,10 +367,11 @@ def _sweep(
     over the up-set: the determinant by mult_det's column split, with one
     half-minor memo per half for this call only; the recurrence by
     mult_rec's fill loop, with a cache dropped with the cell; the sum by
-    its prefix-term engine, with a memo dropped with the cell; the others
-    through _covers and _evaluate. Every i is >= j by construction, so the
-    first three check no containment per pair; the determinant and the sum
-    share the cell's shift vectors, counted once.
+    its prefix-term engine, with a memo dropped with the cell; product and
+    weyman by their engines on the pairs _covers admits. Every i is >= j by
+    construction, so no route checks containment per pair and none builds
+    an index; the determinant and the sum share the cell's shift vectors,
+    counted once.
     """
     d = cells[0].d if cells else 0
     h, left_rows, right_rows = _laplace_split(d)
@@ -384,7 +380,7 @@ def _sweep(
     for j in cells:
         js = j.entries
         ups = _interval_entries(js, tuple(range(j.n - d + 1, j.n + 1)))
-        shifts = points = None
+        shifts = None
         columns = []
         for route in routes:
             if route in (ROUTE_DETERMINANT, ROUTE_SUM):
@@ -402,12 +398,11 @@ def _sweep(
             elif route == ROUTE_SUM:
                 memo: dict = {}
                 column = [_vandermonde_sum(memo, s, t) for t, s in zip(ups, shifts)]
+            elif route == ROUTE_PRODUCT:
+                column = [_product(t) if _covers(route, t, js) else None for t in ups]
+            elif route == ROUTE_WEYMAN:  # its scope depends on j alone
+                column = [_weyman(t) for t in ups] if _covers(route, js, js) else [None] * len(ups)
             else:
-                points = points or [GrassmannIndex(t, j.n) for t in ups]
-                if route == ROUTE_WEYMAN:  # its scope depends on j alone
-                    covered = [_covers(route, js, js)] * len(ups)
-                else:
-                    covered = [_covers(route, t, js) for t in ups]
-                column = [_evaluate(route, i, j) if c else None for i, c in zip(points, covered)]
+                raise ValueError(f"unknown route {route!r}")
             columns.append(column)
         yield ups, list(zip(*columns))

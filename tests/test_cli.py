@@ -25,6 +25,7 @@ from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
     VerifyReport,
     _pool_size,
+    _render_verify_json,
     _render_verify_text,
     build_parser,
     main,
@@ -215,15 +216,13 @@ class TestTable:
 
     def test_no_containment_check_per_pair(self, op_calls):
         # Each up-set is built above its cell: one interval walk per cell
-        # for any routes, and no leq call on the determinant or recurrence
-        # column, against 490 leq calls when each pair is checked.
-        for routes in (("determinant",), ("recurrence",)):
+        # for any routes, and no leq call on any column, against 490 leq
+        # calls when each pair is checked.
+        for routes in (("determinant",), ("recurrence",), multiplicity.ROUTES):
             run_table(d=3, n=7, routes=routes)
             assert op_calls["leq"] == []
             assert len(op_calls["_interval_entries"]) == 35
             op_calls["_interval_entries"].clear()
-        run_table(d=3, n=7, routes=multiplicity.ROUTES)
-        assert len(op_calls["_interval_entries"]) == 35
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
@@ -246,10 +245,11 @@ class TestTable:
 
     def test_scope_tested_without_a_message(self, monkeypatch):
         # Product's scope is tested on each of the 490 pairs, weyman's once
-        # per cell. No refusal is formatted: the only _refusal calls are
-        # mult_product's own guard on the 28 separated pairs.
-        scopes, refusals = [], []
+        # per cell. The product and weyman engines take entry tuples: no
+        # refusal is formatted and no index is built beyond the 35 cells.
+        scopes, refusals, indices = [], [], []
         real_covers, real_refusal = multiplicity._covers, multiplicity._refusal
+        real_init = grassmult.GrassmannIndex.__init__
 
         def counted_covers(route, i_entries, j_entries):
             scopes.append(route)
@@ -259,11 +259,17 @@ class TestTable:
             refusals.append(real_refusal(route, i, j))
             return refusals[-1]
 
+        def counted_init(self, entries, n):
+            indices.append(entries)
+            real_init(self, entries, n)
+
         monkeypatch.setattr(multiplicity, "_covers", counted_covers)
         monkeypatch.setattr(multiplicity, "_refusal", counted_refusal)
+        monkeypatch.setattr(grassmult.GrassmannIndex, "__init__", counted_init)
         run_table(d=3, n=7, routes=multiplicity.ROUTES)
-        assert sorted(Counter(scopes).items()) == [("product", 518), ("weyman", 35)]
-        assert refusals == [None] * 28
+        assert sorted(Counter(scopes).items()) == [("product", 490), ("weyman", 35)]
+        assert refusals == []
+        assert len(indices) == 35
 
     def test_one_shift_vector_per_pair(self, monkeypatch):
         # The determinant and sum columns share each cell's shift vectors.
@@ -459,6 +465,27 @@ class TestVerify:
         assert "status=FAIL" in text
         assert "mismatch i=2-4 j=1-2" in text
 
+    def test_json_golden_bytes(self):
+        # sha256 of the JSON document: its key order and nesting are output,
+        # so a change to how the report is rendered shows here.
+        report = run_verification(3, 6, seed=1)
+        report.elapsed_seconds = 0.0
+        failing = VerifyReport(d=2, n=4, seed=5, pairs_checked=1)
+        failing.mismatches.append(dict(
+            i="2-4", j="1-2", route_a="determinant", value_a="2", route_b="sum", value_b="3",
+        ))
+        failing.identities_checked.append(
+            {"name": "alternating_sum", "cases": 200, "failures": 1, "passed": False}
+        )
+        digests = [
+            hashlib.sha256(_render_verify_json(r).encode("utf-8")).hexdigest()
+            for r in (report, failing)
+        ]
+        assert digests == [
+            "c379a2db8b96b62adb93df3fb5fdca68608db2f1143ab02ac5ef81453fd3a0a7",
+            "fd61c8a9184774c3b688d69895387dd6d8ce67808da9619707235ba1cd65ab7b",
+        ]
+
     def test_single_column_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--d", "1", "--n", "10")
         assert code == 0
@@ -554,12 +581,30 @@ def test_option_inventory():
     }
 
 
+def test_import_set(cli_env):
+    # The modules a compute process loads. -S skips site, so .pth files of a
+    # given installation cannot load these first and hide an import.
+    child = (
+        "import sys\n"
+        "from grassmult.cli import main\n"
+        "main(['compute', '--n', '1', '--i', '1', '--j', '1'])\n"
+        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child],
+        capture_output=True, text=True, env=cli_env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_public_surface():
     # The package re-exports its modules' __all__: a name made public or
     # dropped, or a helper leaked by a module without __all__, shows here.
     assert sorted(grassmult.__all__) == [
         "CheckReport", "FrobeniusCoordinates", "GrassmannIndex", "InexactDivisionError",
-        "InvariantError", "MultiplicityRecord", "ROUTES", "ROUTE_DETERMINANT",
+        "InvariantError", "ROUTES", "ROUTE_DETERMINANT",
         "ROUTE_PRODUCT", "ROUTE_RECURRENCE", "ROUTE_SUM", "ROUTE_WEYMAN",
         "RouteInapplicableError", "alternating_vandermonde_sum", "binom",
         "build_binomial_matrix", "build_shifted_vandermonde_matrix", "check_difference_eq",

@@ -15,8 +15,6 @@ from grassmult.matrices import vandermonde
 from grassmult.multiplicity import (
     ROUTES,
     FrobeniusCoordinates,
-    InvariantError,
-    MultiplicityRecord,
     RouteInapplicableError,
     _evaluate,
     _refusal,
@@ -275,20 +273,6 @@ class TestWeyman:
                 j = validate(tuple(range(1, d + 1)), n)
                 for i in enumerate_indices(d, n):
                     assert mult_weyman(i) == mult_det(i, j)
-
-
-class TestRecord:
-    def test_rejects_unknown_route(self):
-        i = validate((2, 4), 4)
-        j = validate((1, 2), 4)
-        with pytest.raises(InvariantError, match="unknown route"):
-            MultiplicityRecord(4, i, j, 2, "lattice")
-
-    def test_rejects_nonpositive_value(self):
-        i = validate((2, 4), 4)
-        j = validate((1, 2), 4)
-        with pytest.raises(InvariantError, match=">= 1"):
-            MultiplicityRecord(4, i, j, 0, ROUTES[0])
 
 
 class TestAgreement:
