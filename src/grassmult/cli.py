@@ -4,7 +4,8 @@ verification sweeps, and micro-benchmarks.
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 n exceeds the size guard
 GUARD = 12 (override with --force), 5 internal error (an exact division
-left a remainder, or a computed record broke an invariant).
+left a remainder, or a computed record broke an invariant), 6 out of
+memory, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -208,8 +209,11 @@ def run_table(
     if workers == 1:
         dealt = [_table_cells(*payloads[0])]
     else:
+        import signal
         from multiprocessing import Pool
-        with Pool(processes=workers) as pool:
+        # Workers ignore SIGINT; the parent takes it and the block ends them.
+        ignore = (signal.SIGINT, signal.SIG_IGN)
+        with Pool(processes=workers, initializer=signal.signal, initargs=ignore) as pool:
             dealt = pool.starmap(_table_cells, payloads)
     # Walking the cells in order fills each i's bucket in order of j.
     buckets: list[list[str]] = [[] for _ in cells]
@@ -433,6 +437,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 6
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ integer, computed here in exact integer arithmetic throughout.
 Routes:
 
 * ``mult_det``      signed determinant of a matrix of binomial
-                    coefficients whose column shifts come from
-                    ``s_vector``. Production route: one pair by one
-                    Bareiss, a table by memoized half minors.
+                    coefficients with column shifts ``s_vector``.
+                    Production route: one pair by one Bareiss, a table
+                    by memoized half minors once per class (i, s).
 * ``mult_rec``      the defining recurrence, summing over downward
                     covering moves and dividing by ``degree``; memoized
                     and filled in lexicographic order. This is the
@@ -19,8 +19,8 @@ Routes:
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
                     products over a box of offsets, built one coordinate
                     at a time from memoized prefix terms that are dropped
-                    once two shifted values collide; a table keeps one
-                    memo per cell.
+                    once two shifted values collide; a table sums each
+                    class (i, s) once, with a prefix memo per cell.
 * ``mult_product``  closed product form, applicable only to separated
                     pairs (j_d <= i_1).
 * ``mult_weyman``   determinant in the Frobenius coordinates of the
@@ -113,21 +113,19 @@ def s_vector(i: GrassmannIndex, j: GrassmannIndex) -> tuple[int, ...]:
     pair is separated (j_d <= i_1).
     """
     _require_pair(i, j)
-    return _shifts(i.entries, j.entries)
-
-
-def _shifts(entries: tuple[int, ...], js: tuple[int, ...]) -> tuple[int, ...]:
-    """s_vector's count on entry tuples, for a pair already known to have
-    js <= entries; performs no validation."""
-    return tuple(len(js) - bisect_right(js, iq) for iq in entries)
+    return tuple(j.d - bisect_right(j.entries, iq) for iq in i.entries)
 
 
 def degree(i: GrassmannIndex, j: GrassmannIndex) -> int:
     """d minus the number of entries of i that also occur in j; the divisor
     of the recurrence. Zero exactly when i == j."""
     _require_pair(i, j)
-    shared = set(j.entries)
-    return i.d - sum(1 for e in i.entries if e in shared)
+    return _degree(i.entries, set(j.entries))
+
+
+def _degree(entries: tuple[int, ...], floor_set: set[int]) -> int:
+    """degree on the entries of i and the set of entries of j."""
+    return len(entries) - len(floor_set.intersection(entries))
 
 
 def mult_det(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -156,7 +154,7 @@ def mult_rec(
     if cache is None:
         cache = {}
     if i.entries not in cache:
-        _fill_recurrence(j.entries, _interval_entries(j.entries, i.entries), cache)
+        _fill_recurrence(j.entries, _up_set(j.entries, i.entries, False), cache)
     return cache[i.entries]
 
 
@@ -165,7 +163,6 @@ def _fill_recurrence(floor: tuple[int, ...], interval: list, cache: dict) -> Non
     run of entry tuples k >= floor that is closed under covering moves down
     to floor, into the cache of floor; performs no validation."""
     cache.setdefault(floor, 1)
-    d = len(floor)
     floor_set = set(floor)
     for k in interval:
         if k in cache:
@@ -173,29 +170,26 @@ def _fill_recurrence(floor: tuple[int, ...], interval: list, cache: dict) -> Non
         total = 0
         for _, neighbor in lower_neighbor_entries(k, floor):
             total += cache[neighbor]
-        deg = d - sum(1 for e in k if e in floor_set)
-        cache[k] = exact_div(total, deg)
+        cache[k] = exact_div(total, _degree(k, floor_set))
 
 
-def _interval_entries(
-    floor: tuple[int, ...], ceil: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """Strictly increasing tuples k with floor <= k <= ceil componentwise,
-    in lexicographic order."""
-    d = len(floor)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], pos: int, prev: int) -> None:
-        if pos == d:
-            out.append(tuple(prefix))
-            return
-        for e in range(max(floor[pos], prev + 1), ceil[pos] + 1):
-            prefix.append(e)
-            extend(prefix, pos + 1, e)
-            prefix.pop()
-
-    extend([], 0, 0)
-    return out
+def _up_set(floor: tuple[int, ...], ceil: tuple[int, ...], shifts: bool) -> list:
+    """Strictly increasing tuples t with floor <= t <= ceil componentwise in
+    lexicographic order, built one coordinate at a time; with shifts, as
+    pairs (t, s_vector of t above floor), s read from a table of
+    d - bisect_right(floor, v) per value v and extended alongside t."""
+    if shifts:
+        count = [len(floor) - bisect_right(floor, v) for v in range(ceil[-1] + 1)]
+        level = [((e,), (count[e],)) for e in range(floor[0], ceil[0] + 1)]
+        for lo, hi in zip(floor[1:], ceil[1:]):
+            level = [
+                (t + (e,), s + (count[e],)) for t, s in level for e in range(max(lo, t[-1] + 1), hi + 1)
+            ]
+        return level
+    level = [(e,) for e in range(floor[0], ceil[0] + 1)]
+    for lo, hi in zip(floor[1:], ceil[1:]):
+        level = [t + (e,) for t in level for e in range(max(lo, t[-1] + 1), hi + 1)]
+    return level
 
 
 def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> int:
@@ -360,44 +354,45 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
 def _sweep(
     cells: Sequence[GrassmannIndex], routes: Sequence[str]
 ) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int | None, ...]]]]:
-    """For each cell j of cells (all of one d): the entry tuples of its
-    up-set {i >= j} in lexicographic order, walked once as the interval
-    from j to the top index, and one tuple of route values per pair, None
-    where a route does not cover the pair. Each route fills its own column
-    over the up-set: the determinant by mult_det's column split, with one
-    half-minor memo per half for this call only; the recurrence by
-    mult_rec's fill loop, with a cache dropped with the cell; the sum by
-    its prefix-term engine, with a memo dropped with the cell; product and
-    weyman by their engines on the pairs _covers admits. Every i is >= j by
-    construction, so no route checks containment per pair and none builds
-    an index; the determinant and the sum share the cell's shift vectors,
-    counted once.
+    """For each cell j of cells (all of one d): its up-set {i >= j} as entry
+    tuples in lexicographic order, walked once by _up_set, and one tuple of
+    route values per pair, None where a route does not cover it. Every i is
+    >= j by construction, so no route checks containment per pair and none
+    builds an index. Each route fills its own column.
+
+    The determinant and the sum see a pair only through its class
+    (i, s_vector(i, j)), which the walk yields. Each keeps its own values by
+    class for this call and evaluates a class once: the determinant by
+    mult_det's column split, with a half-minor memo per half for this call;
+    the sum by its prefix-term engine, with a prefix memo per cell. The
+    recurrence runs mult_rec's fill loop with a cache per cell; product and
+    weyman run their engines on the pairs _covers admits.
     """
     d = cells[0].d if cells else 0
     h, left_rows, right_rows = _laplace_split(d)
-    left_memo: dict = {}
-    right_memo: dict = {}
+    left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
+    keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
+
+    def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
+        left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
+        right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
+        return sum(map(mul, left, right))
+
     for j in cells:
         js = j.entries
-        ups = _interval_entries(js, tuple(range(j.n - d + 1, j.n + 1)))
-        shifts = None
+        walk = _up_set(js, tuple(range(j.n - d + 1, j.n + 1)), keyed)
+        ups = [t for t, _ in walk] if keyed else walk
         columns = []
         for route in routes:
-            if route in (ROUTE_DETERMINANT, ROUTE_SUM):
-                shifts = shifts or [_shifts(t, js) for t in ups]
             if route == ROUTE_DETERMINANT:
-                column = []
-                for t, s in zip(ups, shifts):
-                    left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
-                    right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
-                    column.append(sum(map(mul, left, right)))
+                column = _by_class(det_values, walk, det)
             elif route == ROUTE_RECURRENCE:
                 cache: dict = {}
                 _fill_recurrence(js, ups, cache)
                 column = [cache[t] for t in ups]
             elif route == ROUTE_SUM:
                 memo: dict = {}
-                column = [_vandermonde_sum(memo, s, t) for t, s in zip(ups, shifts)]
+                column = _by_class(sum_values, walk, lambda t, s: _vandermonde_sum(memo, s, t))
             elif route == ROUTE_PRODUCT:
                 column = [_product(t) if _covers(route, t, js) else None for t in ups]
             elif route == ROUTE_WEYMAN:  # its scope depends on j alone
@@ -406,3 +401,9 @@ def _sweep(
                 raise ValueError(f"unknown route {route!r}")
             columns.append(column)
         yield ups, list(zip(*columns))
+
+
+def _by_class(values: dict, walk: list, engine) -> list[int]:
+    """Values of walk's (t, s) pairs, engine(t, s) stored on a miss; a value is never 0."""
+    get = values.get
+    return [get(key) or values.setdefault(key, engine(*key)) for key in walk]

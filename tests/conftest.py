@@ -22,16 +22,16 @@ def cli_env():
 
 @pytest.fixture
 def op_calls(monkeypatch):
-    """Record the calls of binom, determinant_bareiss, leq and
-    _interval_entries at every module binding: the order of each
-    determinant, and the arguments of every other call."""
+    """Record the calls of binom, determinant_bareiss, leq and _up_set at
+    every module binding: the order of each determinant, and the arguments
+    of every other call."""
     from grassmult import arith, cli, difference, indices, matrices, multiplicity
 
     homes = {
         "binom": arith,
         "determinant_bareiss": matrices,
         "leq": indices,
-        "_interval_entries": multiplicity,
+        "_up_set": multiplicity,
     }
     calls = {name: [] for name in homes}
 

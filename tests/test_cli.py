@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -178,9 +179,9 @@ class TestTable:
         pools = []
         real_pool = multiprocessing.Pool
 
-        def counted_pool(processes):
+        def counted_pool(processes, **kwargs):
             pools.append(processes)
-            return real_pool(processes=processes)
+            return real_pool(processes=processes, **kwargs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
@@ -215,14 +216,17 @@ class TestTable:
         assert set(op_calls["determinant_bareiss"]) == {1, 2}
 
     def test_no_containment_check_per_pair(self, op_calls):
-        # Each up-set is built above its cell: one interval walk per cell
-        # for any routes, and no leq call on any column, against 490 leq
-        # calls when each pair is checked.
-        for routes in (("determinant",), ("recurrence",), multiplicity.ROUTES):
+        # Each up-set is built above its cell: one walk per cell for any
+        # routes, with shift vectors only for the determinant or the sum,
+        # and no leq call on any column, against 490 leq calls when each
+        # pair is checked.
+        for routes, keyed in (
+            (("determinant",), True), (("recurrence",), False), (multiplicity.ROUTES, True)
+        ):
             run_table(d=3, n=7, routes=routes)
             assert op_calls["leq"] == []
-            assert len(op_calls["_interval_entries"]) == 35
-            op_calls["_interval_entries"].clear()
+            assert [args[2] for args in op_calls["_up_set"]] == [keyed] * 35
+            op_calls["_up_set"].clear()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
@@ -272,21 +276,37 @@ class TestTable:
         assert len(indices) == 35
 
     def test_one_shift_vector_per_pair(self, monkeypatch):
-        # The determinant and sum columns share each cell's shift vectors.
-        calls = []
-        real_shifts = multiplicity._shifts
+        # The walk builds each pair's shift vector once, alongside its
+        # entries, from one table of n + 1 counts per cell: 280 bisections,
+        # against 1 470 when each pair's vector is counted on its own. The
+        # determinant and sum columns share it.
+        bisections, walked = [], []
+        real_bisect, real_walk = multiplicity.bisect_right, multiplicity._up_set
 
-        def counted(entries, js):
-            calls.append(entries)
-            return real_shifts(entries, js)
+        def counted(js, v):
+            bisections.append(v)
+            return real_bisect(js, v)
 
-        monkeypatch.setattr(multiplicity, "_shifts", counted)
+        def recorded(floor, ceil, shifts):
+            out = real_walk(floor, ceil, shifts)
+            walked.extend((floor, t, s) for t, s in out)
+            return out
+
+        monkeypatch.setattr(multiplicity, "bisect_right", counted)
+        monkeypatch.setattr(multiplicity, "_up_set", recorded)
         run_table(d=3, n=7, routes=("determinant", "sum"))
-        assert len(calls) == 490
+        assert len(bisections) == 35 * 8
+        assert len(walked) == 490
+        monkeypatch.setattr(multiplicity, "bisect_right", real_bisect)
+        assert all(
+            s == multiplicity.s_vector(grassmult.validate(t, 7), grassmult.validate(floor, 7))
+            for floor, t, s in walked
+        )
 
     def test_sum_memo_lives_for_one_cell(self, monkeypatch):
-        # 1 441 prefix terms against 2 044 offset vectors of one Vandermonde
-        # product each; one memo for the whole sweep would build 186.
+        # Each class (i, s) is summed once per sweep, so only the 15 cells
+        # that meet a new class fill a prefix memo: 236 prefix terms,
+        # against 2 044 offset vectors of one Vandermonde product each.
         memos: dict = {}
         real_sum = multiplicity._vandermonde_sum
 
@@ -301,7 +321,36 @@ class TestTable:
             terms = sum(len(prefix) for memo in memos.values() for prefix in memo.values())
             counts.append((len(memos), terms))
             memos.clear()
-        assert counts == [(35, 1441), (35, 1441)]
+        assert counts == [(15, 236), (15, 236)]
+
+    @pytest.mark.parametrize("d, n, classes", [(3, 7, 105), (4, 9, 771)])
+    def test_each_class_evaluated_once(self, monkeypatch, d, n, classes):
+        # The determinant and the sum fill their value dicts once per
+        # distinct (i, s_vector(i, j)), however many pairs share it.
+        cells = list(grassmult.enumerate_indices(d, n))
+        expected = {
+            (i.entries, multiplicity.s_vector(i, j))
+            for j in cells for i in cells if grassmult.leq(j, i)
+        }
+        assert len(expected) == classes
+        halves, sums = [], []
+        real_half, real_sum = multiplicity._half_minors, multiplicity._vandermonde_sum
+
+        def half(memo, values, shifts, *rest):
+            halves.append((values, shifts))
+            return real_half(memo, values, shifts, *rest)
+
+        def summed(memo, shifts, point):
+            sums.append((point, shifts))
+            return real_sum(memo, shifts, point)
+
+        monkeypatch.setattr(multiplicity, "_half_minors", half)
+        monkeypatch.setattr(multiplicity, "_vandermonde_sum", summed)
+        run_table(d=d, n=n, routes=("determinant", "sum"))
+        dets = [(lt + rt, ls + rs) for (lt, ls), (rt, rs) in zip(halves[::2], halves[1::2])]
+        for fills in (dets, sums):
+            assert len(fills) == classes
+            assert set(fills) == expected
 
     def test_table_det_digest(self):
         # The table_det gate of the layered benchmark.
@@ -399,6 +448,39 @@ class TestTable:
         ]
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+    @pytest.mark.parametrize("exc, code, err", [
+        (MemoryError, 6, "error: out of memory\n"), (KeyboardInterrupt, 130, ""),
+    ])
+    def test_resource_exits(self, capsys, monkeypatch, exc, code, err):
+        def run_table(*args):
+            raise exc
+
+        monkeypatch.setattr(grassmult.cli, "run_table", run_table)
+        assert run_cli(capsys, "table", "--d", "2", "--n", "4") == (code, "", err)
+
+    def test_sigint_exits_without_traceback(self, cli_env):
+        # Ctrl-C reaches the whole process group; the pool workers ignore
+        # it and the parent ends the sweep.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grassmult", "table", "--d", "5", "--n", "12",
+             "--route", "recurrence", "--jobs", "2"],
+            env=cli_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            time.sleep(0.5)
+            assert proc.poll() is None, "the sweep ended before it was interrupted"
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 130
+            assert b"Traceback" not in err
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     def test_pool_size_clamps(self):
         assert _pool_size(10**6, 10, 2) == 2
@@ -501,6 +583,23 @@ class TestVerify:
         assert not report.ok
         assert len(report.mismatches) == report.pairs_checked == 20
         assert {item["route_b"] for item in report.mismatches} == {"sum"}
+
+    def test_route_table_catches_a_wrong_determinant(self, monkeypatch):
+        # Doubling every half-minor vector makes each determinant 4x. The
+        # sum keeps its own values by class, so it disagrees on every pair.
+        true_half = multiplicity._half_minors
+        monkeypatch.setattr(
+            multiplicity, "_half_minors", lambda *args: [2 * m for m in true_half(*args)]
+        )
+        report = run_verification(2, 4)
+        assert not report.ok
+        assert report.pairs_checked == 20
+        by_route = Counter(item["route_b"] for item in report.mismatches)
+        assert by_route["sum"] == by_route["recurrence"] == 20
+        assert len({(item["i"], item["j"]) for item in report.mismatches}) == 20
+        assert all(
+            int(item["value_a"]) == 4 * int(item["value_b"]) for item in report.mismatches
+        )
 
     def test_guard_applies(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--n", "20")
