@@ -172,22 +172,17 @@ def cmd_compute(args) -> int:
 
 def _table_cells(cells, routes, fmt, names, rank) -> list[list[tuple[int, str]]]:
     """Sweep worker: the rows of each dealt cell j as (rank of i, final
-    row text), in order of i, then route."""
+    row text), route by route, so the rows of each i come in route order."""
     out = []
-    for j, (ups, rows) in zip(cells, _sweep(cells, routes)):
+    for j, (ups, columns) in zip(cells, _sweep(cells, routes)):
         n, d, j_name = j.n, j.d, names[j.entries]
         out.append([
             (rank[i], _row(fmt, n, d, names[i], j_name, route, value))
-            for i, row in zip(ups, rows)
-            for route, value in zip(routes, row)
+            for route, column in zip(routes, columns)
+            for i, value in zip(ups, column)
             if value is not None
         ])
     return out
-
-
-def _pool_size(jobs: int, shards: int, cpus: int) -> int:
-    """Worker processes for a sweep: at most one per shard and one per CPU."""
-    return min(jobs, shards, cpus)
 
 
 def run_table(
@@ -202,7 +197,7 @@ def run_table(
     cells = list(enumerate_indices(d, n))
     names = {i.entries: str(i) for i in cells}
     rank = {i.entries: r for r, i in enumerate(cells)}
-    workers = _pool_size(jobs, len(cells), os.cpu_count() or 1)
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the cell order, so
     # contiguous blocks would leave the first worker most of the pairs.
     payloads = [(cells[w::workers], routes, fmt, names, rank) for w in range(workers)]
@@ -282,9 +277,9 @@ def run_verification(d: int, n: int, seed: int = 0) -> VerifyReport:
     start = time.perf_counter()
     cells = list(enumerate_indices(d, n))
     # ROUTES starts with the determinant, which covers every pair.
-    for j, (ups, rows) in zip(cells, _sweep(cells, ROUTES)):
-        for i, (det, *others) in zip(ups, rows):
-            report.pairs_checked += 1
+    for j, (ups, columns) in zip(cells, _sweep(cells, ROUTES)):
+        report.pairs_checked += len(ups)
+        for i, det, *others in zip(ups, *columns):
             for route, value in zip(ROUTES[1:], others):
                 if value is not None and value != det:
                     report.mismatches.append(dict(
@@ -352,7 +347,7 @@ def cmd_bench(args) -> int:
     for route in routes:
         start = time.perf_counter()
         for _ in range(args.reps):
-            pairs = sum(v is not None for _, rows in _sweep(cells, (route,)) for (v,) in rows)
+            pairs = sum(len(column) - column.count(None) for _, (column,) in _sweep(cells, (route,)))
         elapsed = time.perf_counter() - start
         done = pairs * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")

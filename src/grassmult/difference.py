@@ -8,17 +8,18 @@ determinant (eval_poly). Many points share one engine, _half_minors:
 column q of the matrix depends on (value q, shift q) only, so by Laplace
 expansion along a column split the value is one dot product of the
 memoized signed minor vectors of the two column halves. The box checks
-run it over the two sub-boxes of a box, the determinant table over the
-halves of its pairs. Box values live in one flat list in lexicographic
-order of the points. No symbolic polynomial representation is kept, and
-no attempt is made to describe the full solution space of the difference
-equation. The checks certify the identities on concrete boxes, exactly,
-and report the first counterexample when one exists.
+have it as their one evaluator, over the two sub-boxes of a box; the
+determinant table runs it over the halves of its pairs. Box values live
+in one flat list in lexicographic order of the points. No symbolic
+polynomial representation is kept, and no attempt is made to describe
+the full solution space of the difference equation. The checks certify
+the identities on concrete boxes, exactly, and report the first
+counterexample when one exists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import combinations, product
 from operator import mul
 
@@ -32,8 +33,6 @@ __all__ = [
     "check_difference_eq",
     "check_shift_identity",
 ]
-
-EvalFn = Callable[[Sequence[int], Sequence[int]], int]
 
 # Largest box, counted in evaluated points (hi - lo + 2) ** d, that a check
 # accepts; the largest box in use is 13 ** 4 = 28 561 points.
@@ -141,15 +140,11 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, row_sets, signs, d: i
     return out
 
 
-def _box_values(
-    shifts: tuple[int, ...], lo: int, hi: int, eval_fn: EvalFn | None
-) -> list[int]:
+def _box_values(shifts: tuple[int, ...], lo: int, hi: int) -> list[int]:
     """Values of the family on every point of [lo, hi]^d, as one flat list
     in lexicographic order of the points."""
     d = len(shifts)
     span = range(lo, hi + 1)
-    if eval_fn is not None:
-        return [eval_fn(shifts, t) for t in product(span, repeat=d)]
     h, *halves = _laplace_split(d)
     left, right = (
         [_half_minors(memo, u, part, *rows, d) for u in product(span, repeat=len(part))]
@@ -176,19 +171,13 @@ def _point(index: int, strides: list[int], lo: int, hi: int) -> tuple[int, ...]:
     return tuple(index // stride % side + lo - 1 for stride in strides)
 
 
-def check_difference_eq(
-    shifts: Sequence[int], box, eval_fn: EvalFn | None = None
-) -> CheckReport:
+def check_difference_eq(shifts: Sequence[int], box) -> CheckReport:
     """Verify, on every point of the box, that the coordinate differences
-    of the family sum to zero.
-
-    eval_fn substitutes the evaluator (same signature as eval_poly); the
-    test harness uses a perturbed one to prove the check can fail.
-    """
+    of the family sum to zero."""
     shifts = _require_shifts(shifts)
     d = len(shifts)
     lo, hi = _require_box(box, d)
-    values = _box_values(shifts, lo - 1, hi, eval_fn)
+    values = _box_values(shifts, lo - 1, hi)
     strides, inner = _inner_box(d, lo, hi)
     for checked, k in enumerate(inner, start=1):
         total = d * values[k]
@@ -200,9 +189,7 @@ def check_difference_eq(
     return CheckReport(True, len(inner))
 
 
-def check_shift_identity(
-    shifts: Sequence[int], q: int, box, eval_fn: EvalFn | None = None
-) -> CheckReport:
+def check_shift_identity(shifts: Sequence[int], q: int, box) -> CheckReport:
     """Verify, on every point of the box, that one difference step in
     direction q equals minus the family member with that shift raised,
     taken at the stepped point."""
@@ -211,8 +198,8 @@ def check_shift_identity(
     _require_direction(q, d)
     lo, hi = _require_box(box, d)
     raised = shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:]
-    base = _box_values(shifts, lo - 1, hi, eval_fn)
-    bumped = _box_values(raised, lo - 1, hi, eval_fn)
+    base = _box_values(shifts, lo - 1, hi)
+    bumped = _box_values(raised, lo - 1, hi)
     strides, inner = _inner_box(d, lo, hi)
     step = strides[q - 1]
     for checked, k in enumerate(inner, start=1):

@@ -353,12 +353,12 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 def _sweep(
     cells: Sequence[GrassmannIndex], routes: Sequence[str]
-) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int | None, ...]]]]:
+) -> Iterator[tuple[list[tuple[int, ...]], list[list[int | None]]]]:
     """For each cell j of cells (all of one d): its up-set {i >= j} as entry
-    tuples in lexicographic order, walked once by _up_set, and one tuple of
-    route values per pair, None where a route does not cover it. Every i is
-    >= j by construction, so no route checks containment per pair and none
-    builds an index. Each route fills its own column.
+    tuples in lexicographic order, walked once by _up_set, and one column per
+    route, aligned with the up-set: the route's value on each pair, None
+    where the route does not cover it. Every i is >= j by construction, so
+    no route checks containment per pair and none builds an index.
 
     The determinant and the sum see a pair only through its class
     (i, s_vector(i, j)), which the walk yields. Each keeps its own values by
@@ -400,7 +400,7 @@ def _sweep(
             else:
                 raise ValueError(f"unknown route {route!r}")
             columns.append(column)
-        yield ups, list(zip(*columns))
+        yield ups, columns
 
 
 def _by_class(values: dict, walk: list, engine) -> list[int]:

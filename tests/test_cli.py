@@ -25,7 +25,6 @@ import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
     VerifyReport,
-    _pool_size,
     _render_verify_json,
     _render_verify_text,
     build_parser,
@@ -133,6 +132,31 @@ class TestCompute:
         assert code == 5
         assert out == ""
         assert err.startswith("internal error:")
+
+    @pytest.mark.parametrize("d, code", [(10, 6), (9, 0)])
+    def test_out_of_memory_exit_code(self, cli_env, d, code):
+        # The child caps its own address space, then runs the sum route on
+        # i = (2, 4, ..., 2d), j = (1, 3, ..., 2d-1): its prefix terms
+        # outgrow the cap at d = 10, and d = 9 fits under the same cap.
+        child = (
+            "import resource, sys\n"
+            "from grassmult.cli import main\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (120 * 2**20, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        i, j = range(2, 2 * d + 1, 2), range(1, 2 * d, 2)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "compute", "--n", str(2 * d), "--route", "sum",
+             "--i", ",".join(map(str, i)), "--j", ",".join(map(str, j))],
+            capture_output=True, text=True, env=cli_env, timeout=60,
+        )
+        assert proc.returncode == code
+        if code:
+            assert (proc.stdout, proc.stderr) == ("", "error: out of memory\n")
+        else:
+            row = f"{2 * d},{d},{'-'.join(map(str, i))},{'-'.join(map(str, j))},sum,1"
+            assert (proc.stdout, proc.stderr) == (f"n,d,i,j,route,value\n{row}\n", "")
 
     def test_invalid_record_is_an_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(multiplicity, "mult_det", lambda i, j: 0)
@@ -482,10 +506,24 @@ class TestTable:
                 pass
             proc.wait()
 
-    def test_pool_size_clamps(self):
-        assert _pool_size(10**6, 10, 2) == 2
-        assert _pool_size(3, 2, 8) == 2
-        assert _pool_size(1, 10, 8) == 1
+    def test_pool_size_clamps(self, monkeypatch):
+        started = []
+        real_pool = multiprocessing.Pool
+
+        def counted_pool(processes, **kwargs):
+            started.append(processes)
+            return real_pool(processes=processes, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+        for d, n, jobs, cpus, pools in [
+            (2, 5, 4, 2, [2]),  # at most one worker per CPU
+            (1, 2, 3, 8, [2]),  # at most one worker per cell
+            (2, 5, 1, 8, []),  # one job runs in process, with no pool
+        ]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_table(d, n, jobs=jobs) == run_table(d, n)
+            assert started == pools
+            started.clear()
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(
@@ -600,6 +638,27 @@ class TestVerify:
         assert all(
             int(item["value_a"]) == 4 * int(item["value_b"]) for item in report.mismatches
         )
+
+    def test_mismatch_order_is_pinned(self, monkeypatch):
+        # verify prints the first 20 mismatches, so their order is output:
+        # by j, then i, then route.
+        true_half = multiplicity._half_minors
+        monkeypatch.setattr(
+            multiplicity, "_half_minors", lambda *args: [2 * m for m in true_half(*args)]
+        )
+        order = [(m["i"], m["j"], m["route_b"]) for m in run_verification(2, 4).mismatches]
+        rec_sum, separated = "recurrence sum", "recurrence sum product"
+        base, both = "recurrence sum weyman", "recurrence sum product weyman"
+        assert order == [(i, j, route) for i, j, routes in [
+            ("1-2", "1-2", base), ("1-3", "1-2", base), ("1-4", "1-2", base),
+            ("2-3", "1-2", both), ("2-4", "1-2", both), ("3-4", "1-2", both),
+            ("1-3", "1-3", rec_sum),
+            ("1-4", "1-3", rec_sum), ("2-3", "1-3", rec_sum), ("2-4", "1-3", rec_sum),
+            ("3-4", "1-3", separated), ("1-4", "1-4", rec_sum), ("2-4", "1-4", rec_sum),
+            ("3-4", "1-4", rec_sum), ("2-3", "2-3", rec_sum), ("2-4", "2-3", rec_sum),
+            ("3-4", "2-3", separated), ("2-4", "2-4", rec_sum), ("3-4", "2-4", rec_sum),
+            ("3-4", "3-4", rec_sum),
+        ] for route in routes.split()]
 
     def test_guard_applies(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--n", "20")

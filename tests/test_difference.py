@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassmult import difference
 from grassmult.difference import (
     MAX_BOX_POINTS,
     CheckReport,
@@ -74,21 +75,19 @@ class TestDifferenceEq:
     def test_single_coordinate(self):
         assert check_difference_eq((2,), (-5, 5)).ok
 
-    def test_detects_perturbation(self):
-        def perturbed(shifts, point):
-            value = eval_poly(shifts, point)
-            return value + 1 if tuple(point) == (1, 2) else value
+    def test_detects_perturbation(self, monkeypatch):
+        real = difference._box_values
 
-        report = check_difference_eq((0, 0), (-3, 3), eval_fn=perturbed)
+        def perturbed(shifts, lo, hi):
+            points = product(range(lo, hi + 1), repeat=len(shifts))
+            return [v + 1 if t == (1, 2) else v for v, t in zip(real(shifts, lo, hi), points)]
+
+        monkeypatch.setattr(difference, "_box_values", perturbed)
+        report = check_difference_eq((0, 0), (-3, 3))
         assert not report.ok
         assert report.witness == (1, 2)
         assert report.lhs == 2
         assert report.rhs == 0
-
-    def test_eval_fn_override_matches_fast_path(self):
-        plain = check_difference_eq((2, 1), (-2, 2))
-        routed = check_difference_eq((2, 1), (-2, 2), eval_fn=eval_poly)
-        assert plain == routed
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="empty box"):
@@ -110,12 +109,15 @@ class TestShiftIdentity:
         assert report.ok
         assert report.points_checked == 49
 
-    def test_detects_perturbation(self):
-        def perturbed(shifts, point):
-            value = eval_poly(shifts, point)
-            return value + 1 if sum(shifts) == 1 else value
+    def test_detects_perturbation(self, monkeypatch):
+        real = difference._box_values
 
-        report = check_shift_identity((0, 0), 1, (-2, 2), eval_fn=perturbed)
+        def perturbed(shifts, lo, hi):
+            values = real(shifts, lo, hi)
+            return [v + 1 for v in values] if sum(shifts) == 1 else values
+
+        monkeypatch.setattr(difference, "_box_values", perturbed)
+        report = check_shift_identity((0, 0), 1, (-2, 2))
         assert not report.ok
         assert report.witness == (-2, -2)
 
@@ -153,7 +155,7 @@ class TestBoxValues:
     def test_laplace_equals_pointwise_determinant(self, shifts, lo, hi):
         span = range(lo, hi + 1)
         expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
-        assert _box_values(shifts, lo, hi, None) == expected
+        assert _box_values(shifts, lo, hi) == expected
 
     def test_minor_count(self, op_calls):
         # 2 * C(4, 2) * 13**2 minors per box of [-6, 6]^4, none per point

@@ -122,8 +122,8 @@ class TestDeterminantSweep:
         for n in range(1, 10):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, rows) in zip(cells, _sweep(cells, ("determinant",))):
-                    assert rows == [(mult_det(GrassmannIndex(t, n), j),) for t in ups]
+                for j, (ups, columns) in zip(cells, _sweep(cells, ("determinant",))):
+                    assert columns == [[mult_det(GrassmannIndex(t, n), j) for t in ups]]
 
     def test_up_sets_are_brute_force_up_sets(self):
         # Why the sweep may skip the containment check on each pair.
@@ -137,12 +137,12 @@ class TestDeterminantSweep:
         for n in range(1, 8):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, rows) in zip(cells, _sweep(cells, ROUTES)):
-                    for t, row in zip(ups, rows):
-                        i = GrassmannIndex(t, n)
-                        assert row == tuple(
-                            None if _refusal(r, i, j) else _evaluate(r, i, j) for r in ROUTES
-                        )
+                for j, (ups, columns) in zip(cells, _sweep(cells, ROUTES)):
+                    above = [GrassmannIndex(t, n) for t in ups]
+                    assert columns == [
+                        [None if _refusal(r, i, j) else _evaluate(r, i, j) for i in above]
+                        for r in ROUTES
+                    ]
 
 
 class TestSumSweep:
@@ -150,8 +150,8 @@ class TestSumSweep:
         for n in range(1, 10):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, rows) in zip(cells, _sweep(cells, ("sum",))):
-                    assert rows == [(mult_sum(GrassmannIndex(t, n), j),) for t in ups]
+                for j, (ups, columns) in zip(cells, _sweep(cells, ("sum",))):
+                    assert columns == [[mult_sum(GrassmannIndex(t, n), j) for t in ups]]
 
 
 class TestRecurrence:
