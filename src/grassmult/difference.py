@@ -4,16 +4,14 @@ over finite boxes.
 
 The family extends the determinant route for multiplicities from index
 vectors to arbitrary integer points. One point is evaluated through one
-determinant (eval_poly). Many points share one engine, _half_minors:
-column q of the matrix depends on (value q, shift q) only, so by Laplace
-expansion along a column split the value is one dot product of the
-memoized signed minor vectors of the two column halves. The box checks
-have it as their one evaluator, over the two sub-boxes of a box; the
-determinant table runs it over the halves of its pairs. Box values live
-in one flat list in lexicographic order of the points. No symbolic
-polynomial representation is kept, and no attempt is made to describe
-the full solution space of the difference equation. The checks certify
-the identities on concrete boxes, exactly, and report the first
+determinant (eval_poly), the independent reference. Many points share one
+engine, _half_minors: column q of the matrix depends on (value q, shift q)
+only, so by Laplace expansion along a column split the value is one dot
+product of the signed minor vectors of the two column halves, each grown
+one Laplace step per column and memoized by column prefix. The box checks
+have it as their one evaluator, one row of values per left minor vector;
+the determinant table runs it over the halves of its pairs. The checks
+certify the identities on concrete boxes, exactly, and report the first
 counterexample when one exists.
 """
 
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations, product
-from operator import mul
+from operator import add
 
 from .arith import _Frozen, _require_int, _set_field, binom
 from .matrices import _require_columns, _require_shifts, build_binomial_matrix, determinant_bareiss
@@ -104,53 +102,76 @@ def _require_box(box, d: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _laplace_split(d: int) -> tuple[int, tuple, tuple]:
-    """Laplace expansion along the first h = d // 2 columns, rows and
-    columns counted from 0: det is the sum over row sets R of size h of
-    (-1)**(sum(R) + 0 + 1 + ... + h-1) times the minor on R of the left
-    columns times the minor on the other rows of the right columns.
-    Returns h and the aligned (row sets, signs) of the left and the right
-    half; the Laplace sign goes with the left."""
+def _extension_plan(d: int) -> tuple[int, list, list]:
+    """Plans for _half_minors on the d x d matrix split at h = d // 2: det is
+    the sum over h-row sets R of (-1)**(sum(R) + h(h-1)/2) times the left
+    minor on R times the right minor on the other rows (rows from 0). Per
+    column q and row set R of size q, a plan holds the terms (r, index of
+    R - {r} among the row sets of size q - 1, sign) of one Laplace step.
+    Row sets run in lexicographic order, except on a half's last level: the
+    left's carry their Laplace signs, the right's are the complements."""
     h = d // 2
-    row_sets = list(combinations(range(d), h))
-    rest = [tuple(p for p in range(d) if p not in rows) for rows in row_sets]
-    signs = [-1 if (sum(rows) + h * (h - 1) // 2) % 2 else 1 for rows in row_sets]
-    return h, (row_sets, signs), (rest, [1] * len(rest))
+    sets = [list(combinations(range(d), q)) for q in range(d + 1)]
+    index = {rows: n for level in sets for n, rows in enumerate(level)}
+
+    def plan(k: int, last: list) -> list:
+        return [
+            [[(r, index[rows[:pos] + rows[pos + 1:]], sign * (-1) ** (pos + q - 1))
+              for pos, r in enumerate(rows)]
+             for rows, sign in (last if q == k else [(rows, 1) for rows in sets[q]])]
+            for q in range(1, k + 1)
+        ]
+
+    left = [(rows, (-1) ** (sum(rows) + h * (h - 1) // 2)) for rows in sets[h]]
+    right = [(tuple(p for p in range(d) if p not in rows), 1) for rows in sets[h]]
+    return h, plan(h, left), plan(d - h, right)
 
 
-def _half_minors(memo: dict, values: tuple, shifts: tuple, row_sets, signs, d: int) -> list[int]:
-    """Minors of the column half binom(values[q], p - shifts[q]), p = 0..d-1,
-    on each row set, times that row set's sign and (-1)**sum(shifts); a
-    minor on no rows is 1. Memoized by (values, shifts), and each column by
-    (v, s), in memo: the caller owns it and uses it for one half of one d
-    only. A half is checked once, when first computed."""
+def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -> list[int]:
+    """Minors of the columns (-1)**s * binom(v, p - s), p = 0..d-1, over
+    zip(values, shifts), on the row sets of plan's last level ([1] for no
+    columns), grown one Laplace step per column. memo, which the caller owns
+    for one half of one d, holds every column prefix (values, shifts) and
+    column (v, s). A half is checked once, when first computed."""
     out = memo.get((values, shifts))
     if out is None:
-        if values:
-            _require_columns(values, shifts)
-        cols = [
-            memo.get((v, s)) or memo.setdefault((v, s), [binom(v, p - s) for p in range(d)])
-            for v, s in zip(values, shifts)
-        ]
-        g = -1 if sum(shifts) % 2 else 1
+        if not values:
+            return [1]
+        _require_columns(values, shifts)
+        minors = _half_minors(memo, values[:-1], shifts[:-1], plan, d)
+        v, s = values[-1], shifts[-1]
+        col = memo.get((v, s)) or memo.setdefault(
+            (v, s), [(-1) ** s * binom(v, p - s) for p in range(d)]
+        )
         out = memo[values, shifts] = [
-            g * sign * (determinant_bareiss([[c[p] for c in cols] for p in rows]) if rows else 1)
-            for rows, sign in zip(row_sets, signs)
+            sum([sign * col[r] * minors[k] for r, k, sign in terms])
+            for terms in plan[len(values) - 1]
         ]
     return out
 
 
-def _box_values(shifts: tuple[int, ...], lo: int, hi: int) -> list[int]:
-    """Values of the family on every point of [lo, hi]^d, as one flat list
-    in lexicographic order of the points."""
+def _box_values(shifts: tuple[int, ...], lo: int, hi: int, memos: tuple[dict, dict]) -> list[int]:
+    """Values of the family on [lo, hi]^d, one flat list in lexicographic
+    order of the points, by the half-minor memos of the left and the right
+    half: each left minor vector's nonzero entries times the right minors."""
     d = len(shifts)
     span = range(lo, hi + 1)
-    h, *halves = _laplace_split(d)
+    h, *plans = _extension_plan(d)
     left, right = (
-        [_half_minors(memo, u, part, *rows, d) for u in product(span, repeat=len(part))]
-        for part, rows, memo in zip((shifts[:h], shifts[h:]), halves, ({}, {}))
+        [_half_minors(memo, u, part, plan, d) for u in product(span, repeat=len(part))]
+        for part, plan, memo in zip((shifts[:h], shifts[h:]), plans, memos)
     )
-    return [sum(map(mul, a, b)) for a in left for b in right]
+    columns = list(zip(*right))
+    zero = [0] * len(right)
+    values = []
+    for a in left:
+        row = zero
+        for a_k, column in zip(a, columns):
+            if a_k:
+                term = map(a_k.__mul__, column)
+                row = term if row is zero else map(add, row, term)
+        values += row
+    return values
 
 
 def _inner_box(d: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
@@ -177,7 +198,7 @@ def check_difference_eq(shifts: Sequence[int], box) -> CheckReport:
     shifts = _require_shifts(shifts)
     d = len(shifts)
     lo, hi = _require_box(box, d)
-    values = _box_values(shifts, lo - 1, hi)
+    values = _box_values(shifts, lo - 1, hi, ({}, {}))
     strides, inner = _inner_box(d, lo, hi)
     for checked, k in enumerate(inner, start=1):
         total = d * values[k]
@@ -198,8 +219,9 @@ def check_shift_identity(shifts: Sequence[int], q: int, box) -> CheckReport:
     _require_direction(q, d)
     lo, hi = _require_box(box, d)
     raised = shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:]
-    base = _box_values(shifts, lo - 1, hi)
-    bumped = _box_values(raised, lo - 1, hi)
+    memos = {}, {}
+    base = _box_values(shifts, lo - 1, hi, memos)
+    bumped = _box_values(raised, lo - 1, hi, memos)
     strides, inner = _inner_box(d, lo, hi)
     step = strides[q - 1]
     for checked, k in enumerate(inner, start=1):

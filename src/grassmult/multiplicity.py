@@ -10,7 +10,8 @@ Routes:
 * ``mult_det``      signed determinant of a matrix of binomial
                     coefficients with column shifts ``s_vector``.
                     Production route: one pair by one Bareiss, a table
-                    by memoized half minors once per class (i, s).
+                    once per class (i, s) by half minors grown one
+                    Laplace step per column, memoized by column prefix.
 * ``mult_rec``      the defining recurrence, summing over downward
                     covering moves and dividing by ``degree``; memoized
                     and filled in lexicographic order. This is the
@@ -35,7 +36,7 @@ from collections.abc import Iterator, Sequence
 from operator import mul
 
 from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
-from .difference import _half_minors, _laplace_split, eval_poly
+from .difference import _extension_plan, _half_minors, eval_poly
 from .indices import GrassmannIndex, leq, lower_neighbor_entries
 from .matrices import _require_columns, determinant_bareiss, vandermonde
 
@@ -369,13 +370,13 @@ def _sweep(
     weyman run their engines on the pairs _covers admits.
     """
     d = cells[0].d if cells else 0
-    h, left_rows, right_rows = _laplace_split(d)
+    h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
-        left = _half_minors(left_memo, t[:h], s[:h], *left_rows, d)
-        right = _half_minors(right_memo, t[h:], s[h:], *right_rows, d)
+        left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
+        right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
     for j in cells:

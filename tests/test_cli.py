@@ -232,12 +232,21 @@ class TestTable:
         assert len(fills) == 35
         assert sum(fills) == 490
 
-    def test_determinant_op_counts(self, op_calls):
+    def test_determinant_op_counts(self, op_calls, monkeypatch):
         # One mult_det per pair would take 490 Bareiss and 4 410 binom calls.
+        # The half minors take none, and hold 24 + 44 memo entries: columns
+        # (v, s) and column prefixes of the left and the right half.
+        real, memos = multiplicity._half_minors, {}
+
+        def recorded(memo, *args):
+            memos[id(memo)] = memo
+            return real(memo, *args)
+
+        monkeypatch.setattr(multiplicity, "_half_minors", recorded)
         run_table(d=3, n=7)
-        assert len(op_calls["determinant_bareiss"]) == 111
+        assert op_calls["determinant_bareiss"] == []
         assert len(op_calls["binom"]) == 66
-        assert set(op_calls["determinant_bareiss"]) == {1, 2}
+        assert sorted(len(memo) for memo in memos.values()) == [24, 44]
 
     def test_no_containment_check_per_pair(self, op_calls):
         # Each up-set is built above its cell: one walk per cell for any
@@ -268,8 +277,8 @@ class TestTable:
         counts = []
         for _ in range(2):
             run_table(d=3, n=7)
-            counts.append(len(op_calls["determinant_bareiss"]) - sum(counts))
-        assert counts == [111, 111]
+            counts.append(len(op_calls["binom"]) - sum(counts))
+        assert counts == [66, 66]
 
     def test_scope_tested_without_a_message(self, monkeypatch):
         # Product's scope is tested on each of the 490 pairs, weyman's once

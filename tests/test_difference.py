@@ -1,21 +1,25 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmult import difference
+from grassmult.arith import binom
 from grassmult.difference import (
     MAX_BOX_POINTS,
     CheckReport,
     _box_values,
+    _extension_plan,
+    _half_minors,
     check_difference_eq,
     check_shift_identity,
     delta_eval,
     eval_poly,
 )
+from grassmult.matrices import determinant_bareiss
 
 
 small_shifts = st.integers(1, 3).flatmap(
@@ -78,9 +82,10 @@ class TestDifferenceEq:
     def test_detects_perturbation(self, monkeypatch):
         real = difference._box_values
 
-        def perturbed(shifts, lo, hi):
+        def perturbed(shifts, lo, hi, memos):
             points = product(range(lo, hi + 1), repeat=len(shifts))
-            return [v + 1 if t == (1, 2) else v for v, t in zip(real(shifts, lo, hi), points)]
+            values = real(shifts, lo, hi, memos)
+            return [v + 1 if t == (1, 2) else v for v, t in zip(values, points)]
 
         monkeypatch.setattr(difference, "_box_values", perturbed)
         report = check_difference_eq((0, 0), (-3, 3))
@@ -112,8 +117,8 @@ class TestShiftIdentity:
     def test_detects_perturbation(self, monkeypatch):
         real = difference._box_values
 
-        def perturbed(shifts, lo, hi):
-            values = real(shifts, lo, hi)
+        def perturbed(shifts, lo, hi, memos):
+            values = real(shifts, lo, hi, memos)
             return [v + 1 for v in values] if sum(shifts) == 1 else values
 
         monkeypatch.setattr(difference, "_box_values", perturbed)
@@ -155,23 +160,35 @@ class TestBoxValues:
     def test_laplace_equals_pointwise_determinant(self, shifts, lo, hi):
         span = range(lo, hi + 1)
         expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
-        assert _box_values(shifts, lo, hi) == expected
+        assert _box_values(shifts, lo, hi, ({}, {})) == expected
 
-    def test_minor_count(self, op_calls):
-        # 2 * C(4, 2) * 13**2 minors per box of [-6, 6]^4, none per point
-        orders = op_calls["determinant_bareiss"]
+    def test_minor_count(self, op_calls, monkeypatch):
+        # No determinant: one memo entry per column (v, s) and per column
+        # prefix of a half, 2 * 13 + 13 + 13**2 = 208 per half of [-6, 6]^4.
+        # The shift check's boxes share their memos, so raising shift 3 adds
+        # 13 + 13 + 13**2 entries to the right half only.
+        real, memos = difference._box_values, []
+
+        def recorded(shifts, lo, hi, pair):
+            memos.append(pair)
+            return real(shifts, lo, hi, pair)
+
+        monkeypatch.setattr(difference, "_box_values", recorded)
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
-        assert len(orders) == 2028
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
-        assert len(orders) == 2028 + 4056
-        assert set(orders) == {2}
+        assert op_calls["determinant_bareiss"] == []
+        assert memos[1] is memos[2]
+        sizes = [[len(memo) for memo in pair] for pair in memos[:2]]
+        assert sizes == [[208, 208], [208, 403]]
 
     def test_binom_count(self, op_calls):
-        # 3 boxes x 2 halves x 2 columns x 13 values x 4 rows, one binom per
-        # distinct (value, shift) column of a half and none per point
+        # One binom per row of a distinct (value, shift) column of a half and
+        # none per point: 2 halves x 2 columns x 13 values x 4 rows for each
+        # check's base box, and 13 x 4 for the raised column (v, 2) of the
+        # shift check, whose raised box shares the base box's memos.
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 2, (-5, 6)).ok
-        assert len(op_calls["binom"]) == 624
+        assert len(op_calls["binom"]) == 208 + 260
 
     def test_cost_bound_before_any_work(self, op_calls):
         assert 13**9 > MAX_BOX_POINTS
@@ -180,6 +197,37 @@ class TestBoxValues:
         with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
             check_shift_identity((0,) * 9, 1, (-5, 6))
         assert all(calls == [] for calls in op_calls.values())
+
+
+class TestHalfMinors:
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.tuples(
+            st.lists(st.integers(-8, 8), min_size=d, max_size=d).map(tuple),
+            st.lists(st.integers(0, 7), min_size=d, max_size=d).map(tuple),
+        ))
+    )
+    @settings(max_examples=60)
+    def test_each_minor_is_a_signed_determinant(self, case):
+        # The left half's row sets in lexicographic order, with the sign of
+        # the Laplace expansion along its h columns; the right half's on
+        # the complements, unsigned. A minor on no rows is 1.
+        values, shifts = case
+        d = len(values)
+        h = d // 2
+        row_sets = list(combinations(range(d), h))
+        halves = (
+            (slice(0, h), row_sets, [(-1) ** (sum(rows) + h * (h - 1) // 2) for rows in row_sets]),
+            (slice(h, d), [tuple(p for p in range(d) if p not in rows) for rows in row_sets],
+             [1] * len(row_sets)),
+        )
+        for (part, rows_of, signs), plan in zip(halves, _extension_plan(d)[1:]):
+            t, s = values[part], shifts[part]
+            matrix = [[binom(v, p - k) for v, k in zip(t, s)] for p in range(d)]
+            assert _half_minors({}, t, s, plan, d) == [
+                sign * (-1) ** sum(s)
+                * (determinant_bareiss([matrix[p] for p in rows]) if rows else 1)
+                for rows, sign in zip(rows_of, signs)
+            ]
 
 
 class TestRejectsCoercion:

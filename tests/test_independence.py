@@ -107,7 +107,7 @@ def test_routes_share_no_formula():
 
 @pytest.mark.parametrize("call, shared", [
     ("vandermonde(point)", {("sum", "product"): ["matrices.vandermonde"]}),
-    ("_half_minors({}, point, shifts, [()], [1], 1)",
+    ("_half_minors({}, point, shifts, _extension_plan(2 * len(point))[1], 2 * len(point))",
      {("determinant", "sum"): ["difference._half_minors"]}),
 ])
 def test_a_borrowed_formula_is_caught(call, shared):
