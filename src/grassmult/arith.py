@@ -3,8 +3,8 @@
 All values are Python ints, so magnitude is unbounded and nothing ever
 rounds. A division that is supposed to be exact but leaves a remainder is
 reported as InexactDivisionError; it always indicates a bug upstream,
-never bad input. Also home of _Value, the base of the package's value
-classes, which every module can import from here.
+never bad input. Also home of _Frozen, the one base of the package's
+value classes, which every module can import from here.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ class InexactDivisionError(ArithmeticError):
     """An integer division expected to be exact left a remainder."""
 
 
-class _Value:
+class _Frozen:
     """Base of the package's value classes. The fields are the subclass's
-    __slots__, in order, and equality, repr and pickling go by type and
-    fields. Each subclass writes its own __init__: a generic one builds
-    values almost twice as slowly."""
+    __slots__, in order; equality, hash, repr and pickling go by type and
+    fields, and a field cannot be assigned or deleted once set. Each
+    subclass writes its own __init__, setting each field through
+    _set_field: a generic one builds values almost twice as slowly."""
 
     __slots__ = ()
 
@@ -32,6 +33,9 @@ class _Value:
             return NotImplemented
         return self._fields() == other._fields()
 
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
@@ -40,17 +44,6 @@ class _Value:
         # The default for __slots__ restores each field by setattr, which a
         # frozen value refuses: every pool worker would die unpickling it.
         return type(self), self._fields()
-
-
-class _Frozen(_Value):
-    """A _Value whose fields cannot be assigned or deleted once set, and
-    which hashes by its fields. A subclass's __init__ sets each field
-    through _set_field."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

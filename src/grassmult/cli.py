@@ -17,7 +17,7 @@ import sys
 import time
 from itertools import chain
 
-from .arith import InexactDivisionError, _Value, binom, factorial_superproduct
+from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import GrassmannIndex, _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
@@ -41,34 +41,6 @@ CSV_HEADER = "n,d,i,j,route,value\n"
 
 class GuardExceededError(ValueError):
     """The requested sweep is larger than the size guard allows."""
-
-
-class VerifyReport(_Value):
-    """Outcome of a verification run: the route equivalence sweep over all
-    pairs of one (d, n) plus seeded random identity suites."""
-
-    __slots__ = (
-        "d", "n", "seed", "pairs_checked", "mismatches", "identities_checked", "elapsed_seconds"
-    )
-
-    def __init__(
-        self, d: int, n: int, seed: int, pairs_checked: int = 0,
-        mismatches: list[dict] | None = None, identities_checked: list[dict] | None = None,
-        elapsed_seconds: float = 0.0,
-    ) -> None:
-        self.d = d
-        self.n = n
-        self.seed = seed
-        self.pairs_checked = pairs_checked
-        self.mismatches = [] if mismatches is None else mismatches
-        self.identities_checked = [] if identities_checked is None else identities_checked
-        self.elapsed_seconds = elapsed_seconds
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and all(
-            item["passed"] for item in self.identities_checked
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +241,49 @@ def _run_identity_suite(rng: random.Random, name: str, case, cases: int) -> dict
     return {"name": name, "cases": cases, "failures": failures, "passed": failures == 0}
 
 
-def run_verification(d: int, n: int, seed: int = 0) -> VerifyReport:
+def run_verification(d: int, n: int, seed: int = 0) -> dict:
     """Check the determinant against every other route that covers the
     pair, on every pair j <= i of I(d, n), then run the seeded random
-    identity suites."""
-    report = VerifyReport(d=d, n=n, seed=seed)
+    identity suites. The report is the dict that verify --format json
+    writes. Each determinant, and each other value that differs from it,
+    must be a multiplicity: a value below 1 raises InvariantError."""
     start = time.perf_counter()
     cells = list(enumerate_indices(d, n))
+    pairs_checked, mismatches = 0, []
     # ROUTES starts with the determinant, which covers every pair.
     for j, (ups, columns) in zip(cells, _sweep(cells, ROUTES)):
-        report.pairs_checked += len(ups)
+        pairs_checked += len(ups)
         for i, det, *others in zip(ups, *columns):
+            _require_multiplicity(det)
             for route, value in zip(ROUTES[1:], others):
                 if value is not None and value != det:
-                    report.mismatches.append(dict(
+                    _require_multiplicity(value)
+                    mismatches.append(dict(
                         i=str(GrassmannIndex(i, n)), j=str(j), route_a=ROUTE_DETERMINANT,
                         value_a=str(det), route_b=route, value_b=str(value),
                     ))
     rng = random.Random(seed)
-    report.identities_checked.extend(_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES)
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    identities = [_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES]
+    return {
+        "d": d, "n": n, "seed": seed, "pairs_checked": pairs_checked,
+        "mismatches": mismatches, "identities_checked": identities,
+        "elapsed_seconds": time.perf_counter() - start,
+        "ok": not mismatches and all(item["passed"] for item in identities),
+    }
 
 
-def _render_verify_text(report: VerifyReport) -> str:
+def _render_verify_text(report: dict) -> str:
     identity_bits = " ".join(
         f"{item['name']}={'pass' if item['passed'] else 'FAIL'}"
-        for item in report.identities_checked
+        for item in report["identities_checked"]
     )
     lines = [
-        f"verify d={report.d} n={report.n} seed={report.seed}: "
-        f"pairs_checked={report.pairs_checked} mismatches={len(report.mismatches)} "
-        f"{identity_bits} elapsed={report.elapsed_seconds:.3f}s "
-        f"status={'ok' if report.ok else 'FAIL'}"
+        f"verify d={report['d']} n={report['n']} seed={report['seed']}: "
+        f"pairs_checked={report['pairs_checked']} mismatches={len(report['mismatches'])} "
+        f"{identity_bits} elapsed={report['elapsed_seconds']:.3f}s "
+        f"status={'ok' if report['ok'] else 'FAIL'}"
     ]
-    for item in report.mismatches[:20]:
+    for item in report["mismatches"][:20]:
         lines.append(
             f"  mismatch i={item['i']} j={item['j']}: "
             f"{item['route_a']}={item['value_a']} vs {item['route_b']}={item['value_b']}"
@@ -311,26 +291,16 @@ def _render_verify_text(report: VerifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_verify_json(report: VerifyReport) -> str:
-    import json
-    return json.dumps({
-        "d": report.d,
-        "n": report.n,
-        "seed": report.seed,
-        "pairs_checked": report.pairs_checked,
-        "mismatches": report.mismatches,
-        "identities_checked": report.identities_checked,
-        "elapsed_seconds": report.elapsed_seconds,
-        "ok": report.ok,
-    }, indent=2) + "\n"
-
-
 def cmd_verify(args) -> int:
     _check_guard(args.d, args.n, args.force)
     report = run_verification(args.d, args.n, args.seed)
-    text = _render_verify_json(report) if args.format == "json" else _render_verify_text(report)
+    if args.format == "json":
+        import json
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        text = _render_verify_text(report)
     _emit(text, args.out)
-    return 0 if report.ok else 1
+    return 0 if report["ok"] else 1
 
 
 # ---------------------------------------------------------------------------

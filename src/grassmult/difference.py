@@ -22,7 +22,7 @@ from itertools import combinations, product
 from operator import add
 
 from .arith import _Frozen, _require_int, _set_field, binom
-from .matrices import _require_columns, _require_shifts, build_binomial_matrix, determinant_bareiss
+from .matrices import _require_shifts, build_binomial_matrix, determinant_bareiss
 
 __all__ = [
     "CheckReport",
@@ -132,12 +132,12 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -
     zip(values, shifts), on the row sets of plan's last level ([1] for no
     columns), grown one Laplace step per column. memo, which the caller owns
     for one half of one d, holds every column prefix (values, shifts) and
-    column (v, s). A half is checked once, when first computed."""
+    column (v, s). Performs no validation: the box checks and the sweep
+    pass integer tuples only."""
     out = memo.get((values, shifts))
     if out is None:
         if not values:
             return [1]
-        _require_columns(values, shifts)
         minors = _half_minors(memo, values[:-1], shifts[:-1], plan, d)
         v, s = values[-1], shifts[-1]
         col = memo.get((v, s)) or memo.setdefault(

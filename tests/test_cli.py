@@ -21,11 +21,10 @@ from pathlib import Path
 import pytest
 
 import grassmult
+import grassmult.cli as cli
 import grassmult.multiplicity as multiplicity
 from grassmult.arith import InexactDivisionError
 from grassmult.cli import (
-    VerifyReport,
-    _render_verify_json,
     _render_verify_text,
     build_parser,
     main,
@@ -545,6 +544,19 @@ class TestTable:
 
 
 class TestVerify:
+    # A report of one mismatch and one failed suite, as run_verification
+    # builds it.
+    FAILING = dict(
+        d=2, n=4, seed=5, pairs_checked=1,
+        mismatches=[dict(
+            i="2-4", j="1-2", route_a="determinant", value_a="2", route_b="sum", value_b="3",
+        )],
+        identities_checked=[
+            {"name": "alternating_sum", "cases": 200, "failures": 1, "passed": False}
+        ],
+        elapsed_seconds=0.0, ok=False,
+    )
+
     def test_small_sweep_text(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n", "4")
         assert code == 0
@@ -572,44 +584,31 @@ class TestVerify:
         assert all(item["failures"] == 0 for item in payload["identities_checked"])
 
     def test_run_verification_counts(self):
-        assert run_verification(2, 5, seed=1).pairs_checked == 50
-        assert run_verification(1, 3, seed=1).pairs_checked == 6
+        assert run_verification(2, 5, seed=1)["pairs_checked"] == 50
+        assert run_verification(1, 3, seed=1)["pairs_checked"] == 6
 
     def test_seed_changes_nothing_but_is_recorded(self):
         a = run_verification(1, 2, seed=7)
-        assert a.seed == 7
-        assert a.ok
+        assert a["seed"] == 7
+        assert a["ok"] is True
 
     def test_mismatch_renders_fail(self):
-        report = VerifyReport(d=2, n=4, seed=0, pairs_checked=1)
-        report.mismatches.append(
-            {
-                "i": "2-4", "j": "1-2",
-                "route_a": "determinant", "value_a": "2",
-                "route_b": "sum", "value_b": "3",
-            }
-        )
-        assert not report.ok
-        text = _render_verify_text(report)
+        text = _render_verify_text(self.FAILING)
         assert "status=FAIL" in text
         assert "mismatch i=2-4 j=1-2" in text
 
-    def test_json_golden_bytes(self):
-        # sha256 of the JSON document: its key order and nesting are output,
-        # so a change to how the report is rendered shows here.
-        report = run_verification(3, 6, seed=1)
-        report.elapsed_seconds = 0.0
-        failing = VerifyReport(d=2, n=4, seed=5, pairs_checked=1)
-        failing.mismatches.append(dict(
-            i="2-4", j="1-2", route_a="determinant", value_a="2", route_b="sum", value_b="3",
-        ))
-        failing.identities_checked.append(
-            {"name": "alternating_sum", "cases": 200, "failures": 1, "passed": False}
-        )
-        digests = [
-            hashlib.sha256(_render_verify_json(r).encode("utf-8")).hexdigest()
-            for r in (report, failing)
-        ]
+    def test_json_golden_bytes(self, capsys, monkeypatch):
+        # sha256 of the document verify --format json writes: its key order
+        # and nesting are output, so a change to how the report is built or
+        # written shows here.
+        passing = run_verification(3, 6, seed=1)
+        passing["elapsed_seconds"] = 0.0
+        digests = []
+        for report, expected in ((passing, 0), (self.FAILING, 1)):
+            monkeypatch.setattr(cli, "run_verification", lambda *args: report)
+            code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n", "4", "--format", "json")
+            assert code == expected
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
         assert digests == [
             "c379a2db8b96b62adb93df3fb5fdca68608db2f1143ab02ac5ef81453fd3a0a7",
             "fd61c8a9184774c3b688d69895387dd6d8ce67808da9619707235ba1cd65ab7b",
@@ -627,9 +626,9 @@ class TestVerify:
             multiplicity, "_vandermonde_sum", lambda memo, s, t: true_sum(memo, s, t) + 1
         )
         report = run_verification(2, 4)
-        assert not report.ok
-        assert len(report.mismatches) == report.pairs_checked == 20
-        assert {item["route_b"] for item in report.mismatches} == {"sum"}
+        assert report["ok"] is False
+        assert len(report["mismatches"]) == report["pairs_checked"] == 20
+        assert {item["route_b"] for item in report["mismatches"]} == {"sum"}
 
     def test_route_table_catches_a_wrong_determinant(self, monkeypatch):
         # Doubling every half-minor vector makes each determinant 4x. The
@@ -639,13 +638,13 @@ class TestVerify:
             multiplicity, "_half_minors", lambda *args: [2 * m for m in true_half(*args)]
         )
         report = run_verification(2, 4)
-        assert not report.ok
-        assert report.pairs_checked == 20
-        by_route = Counter(item["route_b"] for item in report.mismatches)
+        assert report["ok"] is False
+        assert report["pairs_checked"] == 20
+        by_route = Counter(item["route_b"] for item in report["mismatches"])
         assert by_route["sum"] == by_route["recurrence"] == 20
-        assert len({(item["i"], item["j"]) for item in report.mismatches}) == 20
+        assert len({(item["i"], item["j"]) for item in report["mismatches"]}) == 20
         assert all(
-            int(item["value_a"]) == 4 * int(item["value_b"]) for item in report.mismatches
+            int(item["value_a"]) == 4 * int(item["value_b"]) for item in report["mismatches"]
         )
 
     def test_mismatch_order_is_pinned(self, monkeypatch):
@@ -655,7 +654,7 @@ class TestVerify:
         monkeypatch.setattr(
             multiplicity, "_half_minors", lambda *args: [2 * m for m in true_half(*args)]
         )
-        order = [(m["i"], m["j"], m["route_b"]) for m in run_verification(2, 4).mismatches]
+        order = [(m["i"], m["j"], m["route_b"]) for m in run_verification(2, 4)["mismatches"]]
         rec_sum, separated = "recurrence sum", "recurrence sum product"
         base, both = "recurrence sum weyman", "recurrence sum product weyman"
         assert order == [(i, j, route) for i, j, routes in [
@@ -668,6 +667,19 @@ class TestVerify:
             ("3-4", "2-3", separated), ("2-4", "2-4", rec_sum), ("3-4", "2-4", rec_sum),
             ("3-4", "3-4", rec_sum),
         ] for route in routes.split()]
+
+    @pytest.mark.parametrize("engine, broken", [
+        ("exact_div", lambda a, b: 0),  # every route but the determinant
+        ("_half_minors", lambda *args: [0]),  # the determinant
+    ], ids=["routes", "determinant"])
+    def test_invalid_value_is_an_internal_error(self, capsys, monkeypatch, engine, broken):
+        # A value below 1 breaks an invariant of the code, so it is no
+        # verification mismatch: exit 5 and no report.
+        monkeypatch.setattr(multiplicity, engine, broken)
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "4")
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: multiplicity must be >= 1, got 0\n"
 
     def test_guard_applies(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--n", "20")
@@ -749,21 +761,26 @@ def test_option_inventory():
 
 
 def test_import_set(cli_env):
-    # The modules a compute process loads. -S skips site, so .pth files of a
-    # given installation cannot load these first and hide an import.
-    child = (
-        "import sys\n"
-        "from grassmult.cli import main\n"
-        "main(['compute', '--n', '1', '--i', '1', '--j', '1'])\n"
-        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", child],
-        capture_output=True, text=True, env=cli_env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    # The modules a compute process and a text verify process load. -S skips
+    # site, so .pth files of a given installation cannot load these first
+    # and hide an import.
+    for argv in (
+        ["compute", "--n", "1", "--i", "1", "--j", "1"],
+        ["verify", "--d", "1", "--n", "2"],
+    ):
+        child = (
+            "import sys\n"
+            "from grassmult.cli import main\n"
+            f"main({argv!r})\n"
+            "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", child],
+            capture_output=True, text=True, env=cli_env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_public_surface():

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from grassmult.cli import VerifyReport
 from grassmult.difference import CheckReport
 from grassmult.indices import validate
 from grassmult.multiplicity import frobenius_coordinates
@@ -44,17 +43,3 @@ def test_frozen_value_contract(value, fields, text):
     with pytest.raises(AttributeError):
         delattr(value, names[0])
 
-
-def test_verify_report_is_mutable_with_fresh_lists():
-    a, b = VerifyReport(d=2, n=4, seed=0), VerifyReport(d=2, n=4, seed=0)
-    assert a == b and a.mismatches is not b.mismatches
-    assert a.identities_checked is not b.identities_checked
-    assert repr(a) == (
-        "VerifyReport(d=2, n=4, seed=0, pairs_checked=0, mismatches=[], "
-        "identities_checked=[], elapsed_seconds=0.0)"
-    )
-    a.pairs_checked += 1
-    assert a != b
-    with pytest.raises(TypeError):
-        hash(a)
-    assert pickle.loads(pickle.dumps(a)) == a
