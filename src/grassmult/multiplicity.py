@@ -13,10 +13,12 @@ Routes:
                     once per class (i, s) by half minors grown one
                     Laplace step per column, memoized by column prefix.
 * ``mult_rec``      the defining recurrence, summing over downward
-                    covering moves and dividing by ``degree``; memoized
-                    and filled in lexicographic order. This is the
-                    authoritative oracle the other routes are checked
-                    against.
+                    covering moves and dividing by ``degree``; filled by
+                    rank in lexicographic order over a lattice whose
+                    covering moves are built once: one pair's interval
+                    [j, i] only, or, for a table, the whole index set
+                    once per sweep. This is the authoritative oracle the
+                    other routes are checked against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
                     products over a box of offsets, built one coordinate
                     at a time from memoized prefix terms that are dropped
@@ -37,7 +39,7 @@ from operator import mul
 
 from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
 from .difference import _extension_plan, _half_minors, eval_poly
-from .indices import GrassmannIndex, leq, lower_neighbor_entries
+from .indices import GrassmannIndex, leq
 from .matrices import _require_columns, determinant_bareiss, vandermonde
 
 __all__ = [
@@ -141,37 +143,83 @@ def mult_rec(
     """Multiplicity by the defining recurrence, memoized.
 
     Value 1 at i == j; otherwise the sum over downward covering moves that
-    stay above j, divided (exactly) by degree. The table is filled in
-    lexicographic order of the interval [j, i]: a covering move lowers one
-    coordinate, so it always lands on an entry filled earlier, and no
-    recursion depth limit applies.
+    stay above j, divided (exactly) by degree. The recurrence engine fills
+    the interval [j, i] by rank, in lexicographic order: a covering move
+    lowers one coordinate, so it always lands on a value filled earlier,
+    and no recursion depth limit applies. Only [j, i] is built, never the
+    whole index set.
 
     The cache maps entry tuples to values and is only meaningful for a
-    fixed j and n. Reuse it across calls with the same j to share work;
-    when fanning out over processes or threads, keep one cache per worker
-    or guard it externally. Table sweeps run its fill loop directly.
+    fixed j and n. Reuse it across calls with the same j to share work:
+    cached values are not filled again, and each call adds the values of
+    [j, i] that the cache lacks. When fanning out over processes or
+    threads, keep one cache per worker or guard it externally. Table
+    sweeps run the engine on one lattice of the whole index set.
     """
     _require_pair(i, j)
     if cache is None:
         cache = {}
     if i.entries not in cache:
-        _fill_recurrence(j.entries, _up_set(j.entries, i.entries, False), cache)
+        lattice = _lattice(j.entries, i.entries)
+        values = [cache.get(t) for t, _ in lattice]
+        _recurrence(lattice, j.entries, [r for r, v in enumerate(values) if v is None], values)
+        cache.update((t, v) for (t, _), v in zip(lattice, values))
     return cache[i.entries]
 
 
-def _fill_recurrence(floor: tuple[int, ...], interval: list, cache: dict) -> None:
-    """mult_rec's fill loop: enter every tuple of interval, a lexicographic
-    run of entry tuples k >= floor that is closed under covering moves down
-    to floor, into the cache of floor; performs no validation."""
-    cache.setdefault(floor, 1)
+def _lattice(floor: tuple[int, ...], ceil: tuple[int, ...]) -> list:
+    """The interval [floor, ceil] for the recurrence engine, as one
+    (t, lower) per rank in lexicographic order of t: lower holds
+    (q, t_q - 1, back) for each covering move down from t that stays in the
+    interval, q the 0-based position it lowers and rank - back the rank it
+    lands on.
+
+    The tuples with one prefix ending in value e at position q form a
+    block of size[q][e] ranks, which depends on (q, e) alone. The block of
+    e - 1 is the tuples whose next entry is e, then the block of e in the
+    same order, so a move lowering position q from e goes back size[q][e]
+    ranks. Built one coordinate at a time, as _up_set builds tuples, each
+    prefix extending its moves alongside its tuple."""
+    size = [dict.fromkeys(range(floor[-1], ceil[-1] + 1), 1)]
+    for q in range(len(floor) - 2, -1, -1):
+        after, row, count = size[0], {}, 0
+        for e in range(ceil[q + 1] - 1, floor[q] - 1, -1):
+            count += after.get(e + 1, 0)  # completions whose next entry is e + 1
+            row[e] = count
+        size.insert(0, row)
+    first = size[0]
+    level = [
+        ((e,), ((0, e - 1, first[e]),) if e > floor[0] else ())
+        for e in range(floor[0], ceil[0] + 1)
+    ]
+    for q in range(1, len(floor)):
+        lo, hi, back = floor[q], ceil[q], size[q]
+        level = [
+            (t + (e,), lower + ((q, e - 1, back[e]),) if e > lo and e - 1 > t[-1] else lower)
+            for t, lower in level for e in range(max(lo, t[-1] + 1), hi + 1)
+        ]
+    return level
+
+
+def _recurrence(lattice: list, floor: tuple[int, ...], ranks, values: list) -> None:
+    """The recurrence's engine, performing no validation: set values[r] for
+    each rank r of ranks in order, from the values its covering moves down
+    reach while staying above floor, which is one comparison: the lowered
+    entry is at least floor's at that position. ranks is increasing, its
+    tuples are >= floor, and each such move lands on a rank earlier in
+    ranks or on a value already in values."""
     floor_set = set(floor)
-    for k in interval:
-        if k in cache:
-            continue
-        total = 0
-        for _, neighbor in lower_neighbor_entries(k, floor):
-            total += cache[neighbor]
-        cache[k] = exact_div(total, _degree(k, floor_set))
+    for r in ranks:
+        t, lower = lattice[r]
+        divisor = _degree(t, floor_set)
+        if divisor:
+            total = 0
+            for q, dec, back in lower:
+                if dec >= floor[q]:
+                    total += values[r - back]
+            values[r] = exact_div(total, divisor)
+        else:
+            values[r] = 1
 
 
 def _up_set(floor: tuple[int, ...], ceil: tuple[int, ...], shifts: bool) -> list:
@@ -355,24 +403,32 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
 def _sweep(
     cells: Sequence[GrassmannIndex], routes: Sequence[str]
 ) -> Iterator[tuple[list[tuple[int, ...]], list[list[int | None]]]]:
-    """For each cell j of cells (all of one d): its up-set {i >= j} as entry
-    tuples in lexicographic order, walked once by _up_set, and one column per
-    route, aligned with the up-set: the route's value on each pair, None
-    where the route does not cover it. Every i is >= j by construction, so
-    no route checks containment per pair and none builds an index.
+    """For each cell j of cells (all of one d and n): its up-set {i >= j}
+    as entry tuples in lexicographic order, walked once by _up_set, and one
+    column per route, aligned with the up-set: the route's value on each
+    pair, None where the route does not cover it. Every i is >= j by
+    construction, so no route checks containment per pair and none builds
+    an index. Each column is checked once as it is handed out: its least
+    value must be a multiplicity, or InvariantError is raised.
 
     The determinant and the sum see a pair only through its class
     (i, s_vector(i, j)), which the walk yields. Each keeps its own values by
     class for this call and evaluates a class once: the determinant by
     mult_det's column split, with a half-minor memo per half for this call;
     the sum by its prefix-term engine, with a prefix memo per cell. The
-    recurrence runs mult_rec's fill loop with a cache per cell; product and
-    weyman run their engines on the pairs _covers admits.
+    recurrence runs its engine on one lattice of the whole index set, built
+    for this call, and one value list by rank that each cell overwrites on
+    the ranks of its up-set; product and weyman run their engines on the
+    pairs _covers admits.
     """
-    d = cells[0].d if cells else 0
+    d, n = (cells[0].d, cells[0].n) if cells else (0, 0)
+    top = tuple(range(n - d + 1, n + 1))
     h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
+    if cells and ROUTE_RECURRENCE in routes:
+        lattice = _lattice(tuple(range(1, d + 1)), top)
+        rank, rec_values = {t: r for r, (t, _) in enumerate(lattice)}, [0] * len(lattice)
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
         left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
@@ -381,16 +437,16 @@ def _sweep(
 
     for j in cells:
         js = j.entries
-        walk = _up_set(js, tuple(range(j.n - d + 1, j.n + 1)), keyed)
+        walk = _up_set(js, top, keyed)
         ups = [t for t, _ in walk] if keyed else walk
         columns = []
         for route in routes:
             if route == ROUTE_DETERMINANT:
                 column = _by_class(det_values, walk, det)
             elif route == ROUTE_RECURRENCE:
-                cache: dict = {}
-                _fill_recurrence(js, ups, cache)
-                column = [cache[t] for t in ups]
+                ranks = [rank[t] for t in ups]
+                _recurrence(lattice, js, ranks, rec_values)
+                column = [rec_values[r] for r in ranks]
             elif route == ROUTE_SUM:
                 memo: dict = {}
                 column = _by_class(sum_values, walk, lambda t, s: _vandermonde_sum(memo, s, t))
@@ -400,6 +456,7 @@ def _sweep(
                 column = [_weyman(t) for t in ups] if _covers(route, js, js) else [None] * len(ups)
             else:
                 raise ValueError(f"unknown route {route!r}")
+            _require_multiplicity(min((v for v in column if v is not None), default=1))
             columns.append(column)
         yield ups, columns
 

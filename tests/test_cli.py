@@ -212,24 +212,27 @@ class TestTable:
             capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
         )
         assert code == 0
-        assert pools == [3]
+        assert pools == [2]  # the parent works the third share
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
         )
 
     def test_recurrence_fills_each_value_once(self, monkeypatch):
-        fills = []
-        real_fill = multiplicity._fill_recurrence
+        # One lattice of the 35 indices serves every cell; each cell fills
+        # the ranks of its up-set once.
+        fills, lattices = [], set()
+        real_fill = multiplicity._recurrence
 
-        def counted_fill(floor, interval, cache):
-            before = len(cache)
-            real_fill(floor, interval, cache)
-            fills.append(len(cache) - before)
+        def counted_fill(lattice, floor, ranks, values):
+            lattices.add(id(lattice))
+            real_fill(lattice, floor, ranks, values)
+            fills.append(len(ranks))
 
-        monkeypatch.setattr(multiplicity, "_fill_recurrence", counted_fill)
+        monkeypatch.setattr(multiplicity, "_recurrence", counted_fill)
         run_table(d=3, n=7, routes=("recurrence",))
         assert len(fills) == 35
         assert sum(fills) == 490
+        assert len(lattices) == 1
 
     def test_determinant_op_counts(self, op_calls, monkeypatch):
         # One mult_det per pair would take 490 Bareiss and 4 410 binom calls.
@@ -523,9 +526,10 @@ class TestTable:
             return real_pool(processes=processes, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+        # The parent is one of the workers, so a pool has one process fewer.
         for d, n, jobs, cpus, pools in [
-            (2, 5, 4, 2, [2]),  # at most one worker per CPU
-            (1, 2, 3, 8, [2]),  # at most one worker per cell
+            (2, 5, 4, 2, [1]),  # at most one worker per CPU
+            (1, 2, 3, 8, [1]),  # at most one worker per cell
             (2, 5, 1, 8, []),  # one job runs in process, with no pool
         ]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -701,6 +705,20 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--d", "1", "--n", "2", "--reps", "0")
         assert code == 2
         assert "--reps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--d", "2", "--n", "4"),
+    ("table", "--d", "2", "--n", "4", "--route", "all"),
+    ("verify", "--d", "2", "--n", "4"),
+], ids=lambda argv: argv[0])
+def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
+    # The sweep checks each column as it hands it out, so bench, which
+    # only counts and times the columns, fails on a broken route too.
+    monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
+    assert run_cli(capsys, *argv) == (
+        5, "", "internal error: multiplicity must be >= 1, got 0\n"
+    )
 
 
 # sha256 of the stdout bytes; any change to rows, order or rendering shows here.

@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grassmult"
 # half-minor engine of the table and the box checks.
 ENGINES = {
     "determinant": ("difference._half_minors", "difference.eval_poly"),
-    "recurrence": ("multiplicity._fill_recurrence",),
+    "recurrence": ("multiplicity._recurrence", "multiplicity._lattice"),
     "sum": ("multiplicity._vandermonde_sum",),
     "product": ("multiplicity._product",),
     "weyman": ("multiplicity._weyman",),

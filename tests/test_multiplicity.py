@@ -11,6 +11,7 @@ from strategies import index_pairs
 from grassmult.arith import factorial_superproduct
 from grassmult.difference import eval_poly
 from grassmult.indices import GrassmannIndex, enumerate_indices, leq, validate
+from grassmult import multiplicity
 from grassmult.matrices import vandermonde
 from grassmult.multiplicity import (
     ROUTES,
@@ -145,6 +146,37 @@ class TestDeterminantSweep:
                     ]
 
 
+def dual(entries: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The index of Gr(n - d, n) dual to an index of Gr(d, n): x* =
+    sorted(n + 1 - y for y not in x)."""
+    return tuple(sorted(n + 1 - y for y in range(1, n + 1) if y not in entries))
+
+
+class TestDuality:
+    def test_dual_pairs_agree_across_dimensions(self):
+        # The routes check one another within one (d, n). Duality
+        # Gr(d, n) = Gr(n - d, n) keeps the multiplicity of a pair (i, j) at
+        # (i*, j*), so it tests the index conventions across dimensions.
+        def columns(d, n):
+            cells = list(enumerate_indices(d, n))
+            routes = ("determinant", "recurrence", "sum")
+            return {
+                (i, j.entries): values
+                for j, (ups, cols) in zip(cells, _sweep(cells, routes))
+                for i, *values in zip(ups, *cols)
+            }
+
+        for n in range(2, 10):
+            sweeps = {d: columns(d, n) for d in range(1, n)}
+            for d, here in sweeps.items():
+                there = sweeps[n - d]
+                assert len(here) == len(there)
+                for (i, j), (det, _, summed) in here.items():
+                    dual_det, dual_rec, _ = there[dual(i, n), dual(j, n)]
+                    assert det == dual_rec
+                    assert summed == dual_det
+
+
 class TestSumSweep:
     def test_equals_mult_sum(self):
         for n in range(1, 10):
@@ -155,12 +187,37 @@ class TestSumSweep:
 
 
 class TestRecurrence:
-    def test_cache_reuse_matches_fresh(self):
-        n, d = 6, 2
-        j = validate((1, 2), n)
+    def test_cache_reuse_matches_fresh(self, monkeypatch):
+        # Each call fills and adds to the cache exactly the values of
+        # [j, i] that it lacks.
+        n, d = 7, 3
+        j = validate((1, 3, 4), n)
+        above = [i for i in enumerate_indices(d, n) if leq(j, i)]
+        fresh = {i: mult_rec(i, j) for i in above}
+        fills, real = [], multiplicity._recurrence
+
+        def counted(lattice, floor, ranks, values):
+            fills.append(len(ranks))
+            real(lattice, floor, ranks, values)
+
+        monkeypatch.setattr(multiplicity, "_recurrence", counted)
         shared: dict = {}
-        for i in enumerate_indices(d, n):
-            assert mult_rec(i, j, shared) == mult_rec(i, j)
+        held: set = set()
+        for i in above:
+            before = set(shared)
+            assert mult_rec(i, j, shared) == fresh[i]
+            held |= {k.entries for k in above if leq(k, i)}
+            assert shared.keys() == held
+            assert sum(fills) == len(held - before)
+            fills.clear()
+
+    def test_one_pair_builds_its_interval_only(self):
+        # I(2, 10**6) has about 5 * 10**11 members; [j, i] has three.
+        n = 10**6
+        i, j = validate((n - 1, n), n), validate((n - 2, n - 1), n)
+        cache: dict = {}
+        assert mult_rec(i, j, cache) == mult_det(i, j)
+        assert sorted(cache) == [(n - 2, n - 1), (n - 2, n), (n - 1, n)]
 
     def test_cache_keys_stay_in_interval(self):
         i = validate((3, 5), 5)
