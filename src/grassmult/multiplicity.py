@@ -159,6 +159,7 @@ def mult_rec(
     _require_pair(i, j)
     if cache is None:
         cache = {}
+    cache.setdefault(j.entries, 1)
     if i.entries not in cache:
         lattice = _lattice(j.entries, i.entries)
         values = [cache.get(t) for t, _ in lattice]
@@ -178,14 +179,16 @@ def _lattice(floor: tuple[int, ...], ceil: tuple[int, ...]) -> list:
     block of size[q][e] ranks, which depends on (q, e) alone. The block of
     e - 1 is the tuples whose next entry is e, then the block of e in the
     same order, so a move lowering position q from e goes back size[q][e]
-    ranks. Built one coordinate at a time, as _up_set builds tuples, each
-    prefix extending its moves alongside its tuple."""
+    ranks. size[q] holds e in [floor_q, ceil_q] only, so no table is wider
+    than the interval. Built one coordinate at a time, as _up_set builds
+    tuples, each prefix extending its moves alongside its tuple."""
     size = [dict.fromkeys(range(floor[-1], ceil[-1] + 1), 1)]
     for q in range(len(floor) - 2, -1, -1):
-        after, row, count = size[0], {}, 0
-        for e in range(ceil[q + 1] - 1, floor[q] - 1, -1):
-            count += after.get(e + 1, 0)  # completions whose next entry is e + 1
-            row[e] = count
+        after, row = size[0], {}
+        count = sum(after.values())
+        for e in range(floor[q], ceil[q] + 1):
+            count -= after.get(e, 0)
+            row[e] = count  # completions whose next entry exceeds e
         size.insert(0, row)
     first = size[0]
     level = [

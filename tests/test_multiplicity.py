@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb, prod
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,8 +189,8 @@ class TestSumSweep:
 
 class TestRecurrence:
     def test_cache_reuse_matches_fresh(self, monkeypatch):
-        # Each call fills and adds to the cache exactly the values of
-        # [j, i] that it lacks.
+        # Each call adds to the cache exactly the values of [j, i] that it
+        # lacks, and fills all of them but the base value at j.
         n, d = 7, 3
         j = validate((1, 3, 4), n)
         above = [i for i in enumerate_indices(d, n) if leq(j, i)]
@@ -208,16 +209,38 @@ class TestRecurrence:
             assert mult_rec(i, j, shared) == fresh[i]
             held |= {k.entries for k in above if leq(k, i)}
             assert shared.keys() == held
-            assert sum(fills) == len(held - before)
+            assert sum(fills) == len(held - before - {j.entries})
             fills.clear()
 
-    def test_one_pair_builds_its_interval_only(self):
-        # I(2, 10**6) has about 5 * 10**11 members; [j, i] has three.
-        n = 10**6
-        i, j = validate((n - 1, n), n), validate((n - 2, n - 1), n)
+    @pytest.mark.parametrize(
+        "i, j, interval",
+        [
+            # I(2, 10**6) has about 5 * 10**11 members; [j, i] has three.
+            (
+                (999_999, 10**6), (999_998, 999_999),
+                [(999_998, 999_999), (999_998, 10**6), (999_999, 10**6)],
+            ),
+            # The entries span nearly all of 1..n, yet [j, i] has four
+            # members, so no table of the engine may grow with n either.
+            (
+                (2, 10**6), (1, 999_999),
+                [(1, 999_999), (1, 10**6), (2, 999_999), (2, 10**6)],
+            ),
+        ],
+        ids=["adjacent", "wide"],
+    )
+    def test_one_pair_builds_its_interval_only(self, i, j, interval):
+        i, j = validate(i, 10**6), validate(j, 10**6)
         cache: dict = {}
-        assert mult_rec(i, j, cache) == mult_det(i, j)
-        assert sorted(cache) == [(n - 2, n - 1), (n - 2, n), (n - 1, n)]
+        tracemalloc.start()
+        try:
+            value = mult_rec(i, j, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == mult_det(i, j)
+        assert sorted(cache) == interval
+        assert peak < 100_000  # a table as long as n would take megabytes
 
     def test_cache_keys_stay_in_interval(self):
         i = validate((3, 5), 5)
