@@ -9,6 +9,8 @@ value classes, which every module can import from here.
 
 from __future__ import annotations
 
+from math import comb, factorial, prod
+
 __all__ = ["InexactDivisionError", "exact_div", "binom", "factorial_superproduct"]
 
 
@@ -76,20 +78,14 @@ def binom(a: int, b: int) -> int:
     """Binomial coefficient under the falling-factorial convention.
 
     Zero for b < 0. Otherwise a(a-1)...(a-b+1) / b!, an integer for every
-    integer a, negative a included; binom(a, 0) == 1 and binom(a, b) == 0
-    when 0 <= a < b.
+    integer a: math.comb for a >= 0 (so binom(a, b) == 0 when a < b), and
+    the reflection (-1)^b comb(b - a - 1, b) for negative a.
     """
     if b < 0:
         return 0
-    out = 1
-    # Multiply then divide one factor at a time: each prefix equals
-    # binom(a, k), an integer, so every division is exact and the
-    # intermediates stay no larger than the largest prefix value.
-    for k in range(b):
-        out = exact_div(out * (a - k), k + 1)
-        if out == 0:
-            break
-    return out
+    if a >= 0:
+        return comb(a, b)
+    return -comb(b - a - 1, b) if b % 2 else comb(b - a - 1, b)
 
 
 def factorial_superproduct(d: int) -> int:
@@ -97,9 +93,4 @@ def factorial_superproduct(d: int) -> int:
     _require_int(d, "d")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    out = 1
-    fact = 1
-    for k in range(1, d):
-        fact *= k
-        out *= fact
-    return out
+    return prod(map(factorial, range(1, d)))

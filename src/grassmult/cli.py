@@ -16,10 +16,11 @@ import random
 import sys
 import time
 from itertools import chain
+from math import comb
 
 from .arith import InexactDivisionError, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
-from .indices import GrassmannIndex, _require_dims, enumerate_indices, validate
+from .indices import _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
@@ -143,16 +144,17 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _table_cells(cells, routes, fmt, names, rank) -> list[list[tuple[int, str]]]:
-    """Sweep worker: the rows of each dealt cell j as (rank of i, final
-    row text), route by route, so the rows of each i come in route order."""
+def _table_cells(d, n, cells, routes, fmt, names) -> list[list[tuple[int, str]]]:
+    """Sweep worker: for each dealt cell, a rank in I(d, n), the rows of
+    its up-set as (rank of i, final row text), route by route, so the rows
+    of each i come in route order. names[r] is the name of the index of
+    rank r."""
     out = []
-    for j, (ups, columns) in zip(cells, _sweep(cells, routes)):
-        n, d, j_name = j.n, j.d, names[j.entries]
+    for c, (ranks, columns) in zip(cells, _sweep(d, n, cells, routes)):
         out.append([
-            (rank[i], _row(fmt, n, d, names[i], j_name, route, value))
+            (r, _row(fmt, n, d, names[r], names[c], route, value))
             for route, column in zip(routes, columns)
-            for i, value in zip(ups, column)
+            for r, value in zip(ranks, column)
             if value is not None
         ])
     return out
@@ -167,13 +169,11 @@ def run_table(
     _check_guard(d, n, force)
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    cells = list(enumerate_indices(d, n))
-    names = {i.entries: str(i) for i in cells}
-    rank = {i.entries: r for r, i in enumerate(cells)}
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
-    # Cells are dealt round-robin: up-sets shrink along the cell order, so
+    names = [str(i) for i in enumerate_indices(d, n)]
+    workers = min(jobs, len(names), os.cpu_count() or 1)
+    # Cells are dealt round-robin: up-sets shrink along the rank order, so
     # contiguous blocks would leave the first worker most of the pairs.
-    payloads = [(cells[w::workers], routes, fmt, names, rank) for w in range(workers)]
+    payloads = [(d, n, range(w, len(names), workers), routes, fmt, names) for w in range(workers)]
     if workers == 1:
         dealt = [_table_cells(*payloads[0])]
     else:
@@ -186,8 +186,8 @@ def run_table(
             rest = pool.starmap_async(_table_cells, payloads[1:])
             dealt = [_table_cells(*payloads[0]), *rest.get()]
     # Walking the cells in order fills each i's bucket in order of j.
-    buckets: list[list[str]] = [[] for _ in cells]
-    for c in range(len(cells)):  # cell c was dealt to worker c % workers
+    buckets: list[list[str]] = [[] for _ in names]
+    for c in range(len(names)):  # cell c was dealt to worker c % workers
         for r, text in dealt[c % workers][c // workers]:
             buckets[r].append(text)
     return _document(chain.from_iterable(buckets), fmt)
@@ -251,16 +251,16 @@ def run_verification(d: int, n: int, seed: int = 0) -> dict:
     writes. The sweep checks every value to be a multiplicity: a value
     below 1 raises InvariantError."""
     start = time.perf_counter()
-    cells = list(enumerate_indices(d, n))
+    names = [str(i) for i in enumerate_indices(d, n)]
     pairs_checked, mismatches = 0, []
     # ROUTES starts with the determinant, which covers every pair.
-    for j, (ups, columns) in zip(cells, _sweep(cells, ROUTES)):
-        pairs_checked += len(ups)
-        for i, det, *others in zip(ups, *columns):
+    for c, (ranks, columns) in enumerate(_sweep(d, n, range(len(names)), ROUTES)):
+        pairs_checked += len(ranks)
+        for r, det, *others in zip(ranks, *columns):
             for route, value in zip(ROUTES[1:], others):
                 if value is not None and value != det:
                     mismatches.append(dict(
-                        i=str(GrassmannIndex(i, n)), j=str(j), route_a=ROUTE_DETERMINANT,
+                        i=names[r], j=names[c], route_a=ROUTE_DETERMINANT,
                         value_a=str(det), route_b=route, value_b=str(value),
                     ))
     rng = random.Random(seed)
@@ -313,12 +313,12 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
     routes = _normalize_routes(args.route) or ROUTES
-    cells = list(enumerate_indices(args.d, args.n))
+    cells = range(comb(args.n, args.d))
     lines = []
     for route in routes:
         start = time.perf_counter()
         for _ in range(args.reps):
-            pairs = sum(len(column) - column.count(None) for _, (column,) in _sweep(cells, (route,)))
+            pairs = sum(len(c) - c.count(None) for _, (c,) in _sweep(args.d, args.n, cells, (route,)))
         elapsed = time.perf_counter() - start
         done = pairs * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")

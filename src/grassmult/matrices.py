@@ -11,6 +11,8 @@ small orders because its cost is factorial.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
+from math import prod
 
 from .arith import _require_int, binom, exact_div
 
@@ -149,14 +151,5 @@ def build_shifted_vandermonde_matrix(
 def vandermonde(values: Sequence[int]) -> int:
     """Product of pairwise differences values[p] - values[q] over p > q,
     computed directly as a product (never via a determinant); 1 on empty
-    input, 0 as soon as two entries coincide."""
-    vs = list(values)
-    out = 1
-    for p in range(1, len(vs)):
-        vp = vs[p]
-        for q in range(p):
-            diff = vp - vs[q]
-            if diff == 0:
-                return 0
-            out *= diff
-    return out
+    input, 0 when two entries coincide."""
+    return prod(p - q for q, p in combinations(values, 2))

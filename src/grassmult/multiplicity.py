@@ -16,8 +16,8 @@ Routes:
                     covering moves and dividing by ``degree``; filled by
                     rank in lexicographic order over a lattice whose
                     covering moves are built once: one pair's interval
-                    [j, i] only, or, for a table, the whole index set
-                    once per sweep. This is the authoritative oracle the
+                    [j, i] only, or, for a sweep, the whole index set
+                    once per call. This is the authoritative oracle the
                     other routes are checked against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
                     products over a box of offsets, built one coordinate
@@ -29,6 +29,11 @@ Routes:
 * ``mult_weyman``   determinant in the Frobenius coordinates of the
                     partition cut out by i; defined at the base cell
                     j = (1, ..., d) only.
+
+The sweep under the table, verify and bench commands (_sweep) names an
+index by its rank in I(d, n), in the lexicographic order that
+enumerate_indices yields: it takes cells and hands out up-sets as ranks,
+and builds no index object.
 """
 
 from __future__ import annotations
@@ -404,50 +409,49 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 
 def _sweep(
-    cells: Sequence[GrassmannIndex], routes: Sequence[str]
-) -> Iterator[tuple[list[tuple[int, ...]], list[list[int | None]]]]:
-    """For each cell j of cells (all of one d and n): its up-set {i >= j}
-    as entry tuples in lexicographic order, walked once by _up_set, and one
-    column per route, aligned with the up-set: the route's value on each
-    pair, None where the route does not cover it. Every i is >= j by
-    construction, so no route checks containment per pair and none builds
-    an index. Each column is checked once as it is handed out: its least
-    value must be a multiplicity, or InvariantError is raised.
+    d: int, n: int, cells: Sequence[int], routes: Sequence[str]
+) -> Iterator[tuple[list[int], list[list[int | None]]]]:
+    """For each cell j of cells, given by its rank in I(d, n) in the
+    lexicographic order enumerate_indices yields: its up-set {i >= j} as
+    increasing ranks, walked once by _up_set, and one column per route,
+    aligned with the up-set: the route's value on each pair, None where the
+    route does not cover it. Every i is >= j by construction, so no route
+    checks containment per pair and none builds an index. Each column is
+    checked once as it is handed out: its least value must be a
+    multiplicity, or InvariantError is raised.
 
-    The determinant and the sum see a pair only through its class
-    (i, s_vector(i, j)), which the walk yields. Each keeps its own values by
-    class for this call and evaluates a class once: the determinant by
-    mult_det's column split, with a half-minor memo per half for this call;
-    the sum by its prefix-term engine, with a prefix memo per cell. The
-    recurrence runs its engine on one lattice of the whole index set, built
-    for this call, and one value list by rank that each cell overwrites on
-    the ranks of its up-set; product and weyman run their engines on the
-    pairs _covers admits.
+    One lattice of I(d, n) and one rank map of its tuples are built per
+    call, for every route. The determinant and the sum see a pair only
+    through its class (i, s_vector(i, j)), which the walk yields. Each keeps
+    its own values by class for this call and evaluates a class once: the
+    determinant by mult_det's column split, with a half-minor memo per half
+    for this call; the sum by its prefix-term engine, with a prefix memo
+    per cell. The recurrence runs its engine on the lattice, with one value
+    list by rank that each cell overwrites on the ranks of its up-set;
+    product and weyman run their engines on the pairs _covers admits.
     """
-    d, n = (cells[0].d, cells[0].n) if cells else (0, 0)
     top = tuple(range(n - d + 1, n + 1))
+    lattice = _lattice(tuple(range(1, d + 1)), top)
+    rank, rec_values = {t: r for r, (t, _) in enumerate(lattice)}, [0] * len(lattice)
     h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
-    if cells and ROUTE_RECURRENCE in routes:
-        lattice = _lattice(tuple(range(1, d + 1)), top)
-        rank, rec_values = {t: r for r, (t, _) in enumerate(lattice)}, [0] * len(lattice)
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
         left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
         right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
-    for j in cells:
-        js = j.entries
+    for c in cells:
+        js = lattice[c][0]
         walk = _up_set(js, top, keyed)
         ups = [t for t, _ in walk] if keyed else walk
+        ranks = [rank[t] for t in ups]
         columns = []
         for route in routes:
             if route == ROUTE_DETERMINANT:
                 column = _by_class(det_values, walk, det)
             elif route == ROUTE_RECURRENCE:
-                ranks = [rank[t] for t in ups]
                 _recurrence(lattice, js, ranks, rec_values)
                 column = [rec_values[r] for r in ranks]
             elif route == ROUTE_SUM:
@@ -461,7 +465,7 @@ def _sweep(
                 raise ValueError(f"unknown route {route!r}")
             _require_multiplicity(min((v for v in column if v is not None), default=1))
             columns.append(column)
-        yield ups, columns
+        yield ranks, columns
 
 
 def _by_class(values: dict, walk: list, engine) -> list[int]:

@@ -56,6 +56,22 @@ class TestBinom:
         assert binom(2, 5) == 0
         assert binom(0, 1) == 0
 
+    def test_matches_falling_factorial(self):
+        # A reference that shares no code with binom: the falling factorial
+        # a(a-1)...(a-b+1) by a plain loop, divided exactly by b!.
+        for a in range(-25, 26):
+            for b in range(-3, 16):
+                falling = 1
+                for k in range(b):
+                    falling *= a - k
+                expected, remainder = divmod(falling, math.factorial(b)) if b >= 0 else (0, 0)
+                assert remainder == 0
+                assert binom(a, b) == expected
+        running = 1
+        for d in range(1, 13):
+            assert factorial_superproduct(d) == running
+            running *= math.factorial(d)
+
     @given(st.integers(-40, 40), st.integers(-5, 40))
     def test_pascal_rule(self, a, b):
         if b >= 1:

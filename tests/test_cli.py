@@ -217,6 +217,35 @@ class TestTable:
             "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
         )
 
+    def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch):
+        # A pool payload names cells by rank and carries one names list: no
+        # index object and no map is pickled for a worker.
+        payloads = []
+        real_pool = multiprocessing.Pool
+
+        def recording_pool(processes, **kwargs):
+            pool = real_pool(processes=processes, **kwargs)
+            real_starmap = pool.starmap_async
+
+            def recorded(func, iterable):
+                payloads.extend(iterable)
+                return real_starmap(func, iterable)
+
+            pool.starmap_async = recorded
+            return pool
+
+        def holds(value, kinds):
+            if isinstance(value, kinds):
+                return True
+            return isinstance(value, (tuple, list)) and any(holds(v, kinds) for v in value)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        everything = dict(d=3, n=7, routes=multiplicity.ROUTES)
+        assert run_table(**everything, jobs=3) == run_table(**everything)
+        assert len(payloads) == 2
+        assert not any(holds(p, (grassmult.GrassmannIndex, dict)) for p in payloads)
+
     def test_recurrence_fills_each_value_once(self, monkeypatch):
         # One lattice of the 35 indices serves every cell; each cell fills
         # the ranks of its up-set once.

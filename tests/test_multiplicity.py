@@ -11,7 +11,7 @@ from strategies import index_pairs
 
 from grassmult.arith import factorial_superproduct
 from grassmult.difference import eval_poly
-from grassmult.indices import GrassmannIndex, enumerate_indices, leq, validate
+from grassmult.indices import enumerate_indices, leq, validate
 from grassmult import multiplicity
 from grassmult.matrices import vandermonde
 from grassmult.multiplicity import (
@@ -124,23 +124,25 @@ class TestDeterminantSweep:
         for n in range(1, 10):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, columns) in zip(cells, _sweep(cells, ("determinant",))):
-                    assert columns == [[mult_det(GrassmannIndex(t, n), j) for t in ups]]
+                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ("determinant",))):
+                    assert columns == [[mult_det(cells[r], j) for r in ranks]]
 
     def test_up_sets_are_brute_force_up_sets(self):
-        # Why the sweep may skip the containment check on each pair.
+        # Why the sweep may skip the containment check on each pair. The
+        # ranks number I(d, n) in the order enumerate_indices yields.
         for n in range(1, 9):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, _) in zip(cells, _sweep(cells, ())):
-                    assert ups == [i.entries for i in cells if leq(j, i)]
+                for j, (ranks, _) in zip(cells, _sweep(d, n, range(len(cells)), ())):
+                    assert all(a < b for a, b in zip(ranks, ranks[1:]))
+                    assert [cells[r] for r in ranks] == [i for i in cells if leq(j, i)]
 
     def test_every_column_equals_its_route(self):
         for n in range(1, 8):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, columns) in zip(cells, _sweep(cells, ROUTES)):
-                    above = [GrassmannIndex(t, n) for t in ups]
+                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ROUTES)):
+                    above = [cells[r] for r in ranks]
                     assert columns == [
                         [None if _refusal(r, i, j) else _evaluate(r, i, j) for i in above]
                         for r in ROUTES
@@ -162,9 +164,9 @@ class TestDuality:
             cells = list(enumerate_indices(d, n))
             routes = ("determinant", "recurrence", "sum")
             return {
-                (i, j.entries): values
-                for j, (ups, cols) in zip(cells, _sweep(cells, routes))
-                for i, *values in zip(ups, *cols)
+                (cells[r].entries, j.entries): values
+                for j, (ranks, cols) in zip(cells, _sweep(d, n, range(len(cells)), routes))
+                for r, *values in zip(ranks, *cols)
             }
 
         for n in range(2, 10):
@@ -183,8 +185,8 @@ class TestSumSweep:
         for n in range(1, 10):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ups, columns) in zip(cells, _sweep(cells, ("sum",))):
-                    assert columns == [[mult_sum(GrassmannIndex(t, n), j) for t in ups]]
+                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ("sum",))):
+                    assert columns == [[mult_sum(cells[r], j) for r in ranks]]
 
 
 class TestRecurrence:
