@@ -1,5 +1,6 @@
-"""Print, for each module of the package, its total lines and its code
-lines, and the sum of each column last.
+"""Print, for each module of the package and then for each module under
+tests/, its total lines and its code lines: two tables, each with the sum
+of each column last.
 
     python3 scripts/line_counts.py
 
@@ -15,7 +16,9 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grassmult"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "grassmult"
+TESTS = ROOT / "tests"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -44,16 +47,23 @@ def counts(source: str) -> tuple[int, int]:
     return len(lines), code
 
 
-def main() -> int:
+def table(directory: Path) -> None:
+    """Print one row per module of directory, then the column sums."""
     rows = [
         (path.name, *counts(path.read_text(encoding="utf-8")))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     ]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(name) for name, _, _ in rows)
     print(f"{'module':<{width}}  {'total':>5}  {'code':>5}")
     for name, total, code in rows:
         print(f"{name:<{width}}  {total:>5}  {code:>5}")
+
+
+def main() -> int:
+    table(PACKAGE)
+    print()
+    table(TESTS)
     return 0
 
 

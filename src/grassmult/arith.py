@@ -43,8 +43,8 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        # The default for __slots__ restores each field by setattr, which a
-        # frozen value refuses: every pool worker would die unpickling it.
+        # Pickle's default for __slots__ restores each field by setattr,
+        # which a frozen value refuses, so no copy could be unpickled.
         return type(self), self._fields()
 
     def __setattr__(self, name: str, value) -> None:

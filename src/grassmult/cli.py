@@ -4,7 +4,7 @@ verification sweeps, and micro-benchmarks.
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 n exceeds the size guard
 GUARD = 12 (override with --force), 5 internal error (an exact division
-left a remainder, or a computed record broke an invariant), 6 out of
+left a remainder, or a computed value broke an invariant), 6 out of
 memory, 130 interrupted (SIGINT).
 """
 
@@ -18,7 +18,7 @@ import time
 from itertools import chain
 from math import comb
 
-from .arith import InexactDivisionError, binom, factorial_superproduct
+from .arith import InexactDivisionError, _require_int, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
@@ -167,8 +167,11 @@ def run_table(
     """Rows for every pair j <= i of I(d, n), lexicographic by i then j,
     one row per requested applicable route, rendered to fmt."""
     _check_guard(d, n, force)
+    _require_int(jobs, "--jobs")
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"--format must be csv or json, got {fmt!r}")
     names = [str(i) for i in enumerate_indices(d, n)]
     workers = min(jobs, len(names), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the rank order, so

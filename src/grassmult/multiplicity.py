@@ -142,35 +142,22 @@ def mult_det(i: GrassmannIndex, j: GrassmannIndex) -> int:
     return eval_poly(s_vector(i, j), i.entries)
 
 
-def mult_rec(
-    i: GrassmannIndex, j: GrassmannIndex, cache: dict[tuple[int, ...], int] | None = None
-) -> int:
-    """Multiplicity by the defining recurrence, memoized.
+def mult_rec(i: GrassmannIndex, j: GrassmannIndex) -> int:
+    """Multiplicity by the defining recurrence.
 
     Value 1 at i == j; otherwise the sum over downward covering moves that
     stay above j, divided (exactly) by degree. The recurrence engine fills
     the interval [j, i] by rank, in lexicographic order: a covering move
     lowers one coordinate, so it always lands on a value filled earlier,
     and no recursion depth limit applies. Only [j, i] is built, never the
+    whole index set; table sweeps run the engine on one lattice of the
     whole index set.
-
-    The cache maps entry tuples to values and is only meaningful for a
-    fixed j and n. Reuse it across calls with the same j to share work:
-    cached values are not filled again, and each call adds the values of
-    [j, i] that the cache lacks. When fanning out over processes or
-    threads, keep one cache per worker or guard it externally. Table
-    sweeps run the engine on one lattice of the whole index set.
     """
     _require_pair(i, j)
-    if cache is None:
-        cache = {}
-    cache.setdefault(j.entries, 1)
-    if i.entries not in cache:
-        lattice = _lattice(j.entries, i.entries)
-        values = [cache.get(t) for t, _ in lattice]
-        _recurrence(lattice, j.entries, [r for r, v in enumerate(values) if v is None], values)
-        cache.update((t, v) for (t, _), v in zip(lattice, values))
-    return cache[i.entries]
+    lattice = _lattice(j.entries, i.entries)
+    values = [0] * len(lattice)
+    _recurrence(lattice, j.entries, range(len(lattice)), values)
+    return values[-1]
 
 
 def _lattice(floor: tuple[int, ...], ceil: tuple[int, ...]) -> list:
@@ -215,7 +202,7 @@ def _recurrence(lattice: list, floor: tuple[int, ...], ranks, values: list) -> N
     reach while staying above floor, which is one comparison: the lowered
     entry is at least floor's at that position. ranks is increasing, its
     tuples are >= floor, and each such move lands on a rank earlier in
-    ranks or on a value already in values."""
+    ranks."""
     floor_set = set(floor)
     for r in ranks:
         t, lower = lattice[r]

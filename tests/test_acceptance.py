@@ -50,13 +50,10 @@ def sweep():
         for d in range(1, n + 1):
             indices = list(enumerate_indices(d, n))
             for j in indices:
-                cache: dict = {}
                 for i in indices:
                     if not leq(j, i):
                         continue
-                    rows.append(
-                        (n, d, i, j, mult_det(i, j), mult_rec(i, j, cache), mult_sum(i, j))
-                    )
+                    rows.append((n, d, i, j, mult_det(i, j), mult_rec(i, j), mult_sum(i, j)))
     return rows
 
 

@@ -437,6 +437,17 @@ class TestTable:
         with pytest.raises(ValueError, match="--jobs"):
             run_table(d=1, n=3, jobs=0)
 
+    @pytest.mark.parametrize(
+        "option, match",
+        [({"jobs": 2.0}, "--jobs"), ({"jobs": True}, "--jobs"), ({"fmt": "CSV"}, "--format")],
+        ids=["float-jobs", "bool-jobs", "upper-format"],
+    )
+    def test_rejects_coerced_arguments(self, option, match):
+        # A float or bool worker count is refused, never coerced, and so is
+        # any format but csv or json, which would otherwise render as json.
+        with pytest.raises(ValueError, match=match):
+            run_table(d=1, n=3, **option)
+
     def test_guard_blocks_and_force_overrides(self, capsys):
         code, out, err = run_cli(capsys, "table", "--d", "1", "--n", "13")
         assert code == 4
@@ -805,6 +816,17 @@ def test_option_inventory():
         "verify": {"--d", "--n", "--seed", "--format", "--out", "--force"},
         "bench": {"--d", "--n", "--route", "--reps", "--out", "--force"},
     }
+
+
+def test_single_pair_routes_take_the_pair_only():
+    # A per-call option on a route shows up as a diff here, as a new
+    # command line option does in test_option_inventory.
+    def names(route):
+        return list(inspect.signature(route).parameters)
+
+    for route in ("mult_det", "mult_rec", "mult_sum", "mult_product"):
+        assert names(getattr(multiplicity, route)) == ["i", "j"], route
+    assert names(multiplicity.mult_weyman) == ["i"]
 
 
 def test_import_set(cli_env):

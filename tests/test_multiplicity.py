@@ -119,14 +119,6 @@ class TestRoutesOnFrozenPairs:
 
 
 class TestDeterminantSweep:
-    def test_equals_mult_det(self):
-        # d = 1 has an empty left half; even d has halves of one key shape
-        for n in range(1, 10):
-            for d in range(1, n + 1):
-                cells = list(enumerate_indices(d, n))
-                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ("determinant",))):
-                    assert columns == [[mult_det(cells[r], j) for r in ranks]]
-
     def test_up_sets_are_brute_force_up_sets(self):
         # Why the sweep may skip the containment check on each pair. The
         # ranks number I(d, n) in the order enumerate_indices yields.
@@ -137,15 +129,21 @@ class TestDeterminantSweep:
                     assert all(a < b for a, b in zip(ranks, ranks[1:]))
                     assert [cells[r] for r in ranks] == [i for i in cells if leq(j, i)]
 
-    def test_every_column_equals_its_route(self):
-        for n in range(1, 8):
+    @pytest.mark.parametrize(
+        "routes, max_n",
+        [(ROUTES, 7), (("determinant",), 9), (("sum",), 9)],
+        ids=["all", "determinant", "sum"],
+    )
+    def test_every_column_equals_its_route(self, routes, max_n):
+        # d = 1 has an empty left half; even d has halves of one key shape
+        for n in range(1, max_n + 1):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ROUTES)):
+                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), routes)):
                     above = [cells[r] for r in ranks]
                     assert columns == [
                         [None if _refusal(r, i, j) else _evaluate(r, i, j) for i in above]
-                        for r in ROUTES
+                        for r in routes
                     ]
 
 
@@ -180,40 +178,7 @@ class TestDuality:
                     assert summed == dual_det
 
 
-class TestSumSweep:
-    def test_equals_mult_sum(self):
-        for n in range(1, 10):
-            for d in range(1, n + 1):
-                cells = list(enumerate_indices(d, n))
-                for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ("sum",))):
-                    assert columns == [[mult_sum(cells[r], j) for r in ranks]]
-
-
 class TestRecurrence:
-    def test_cache_reuse_matches_fresh(self, monkeypatch):
-        # Each call adds to the cache exactly the values of [j, i] that it
-        # lacks, and fills all of them but the base value at j.
-        n, d = 7, 3
-        j = validate((1, 3, 4), n)
-        above = [i for i in enumerate_indices(d, n) if leq(j, i)]
-        fresh = {i: mult_rec(i, j) for i in above}
-        fills, real = [], multiplicity._recurrence
-
-        def counted(lattice, floor, ranks, values):
-            fills.append(len(ranks))
-            real(lattice, floor, ranks, values)
-
-        monkeypatch.setattr(multiplicity, "_recurrence", counted)
-        shared: dict = {}
-        held: set = set()
-        for i in above:
-            before = set(shared)
-            assert mult_rec(i, j, shared) == fresh[i]
-            held |= {k.entries for k in above if leq(k, i)}
-            assert shared.keys() == held
-            assert sum(fills) == len(held - before - {j.entries})
-            fills.clear()
-
     @pytest.mark.parametrize(
         "i, j, interval",
         [
@@ -228,29 +193,31 @@ class TestRecurrence:
                 (2, 10**6), (1, 999_999),
                 [(1, 999_999), (1, 10**6), (2, 999_999), (2, 10**6)],
             ),
+            # Every built tuple lies between j and i componentwise, though
+            # (2, 5) and (3, 4) are not comparable with each other.
+            ((3, 5), (2, 3), [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]),
         ],
-        ids=["adjacent", "wide"],
+        ids=["adjacent", "wide", "small"],
     )
-    def test_one_pair_builds_its_interval_only(self, i, j, interval):
+    def test_one_pair_builds_its_interval_only(self, monkeypatch, i, j, interval):
         i, j = validate(i, 10**6), validate(j, 10**6)
-        cache: dict = {}
+        built, real = [], multiplicity._lattice
+
+        def recorded(floor, ceil):
+            lattice = real(floor, ceil)
+            built.extend(t for t, _ in lattice)
+            return lattice
+
+        monkeypatch.setattr(multiplicity, "_lattice", recorded)
         tracemalloc.start()
         try:
-            value = mult_rec(i, j, cache)
+            value = mult_rec(i, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert value == mult_det(i, j)
-        assert sorted(cache) == interval
+        assert built == interval
         assert peak < 100_000  # a table as long as n would take megabytes
-
-    def test_cache_keys_stay_in_interval(self):
-        i = validate((3, 5), 5)
-        j = validate((2, 3), 5)
-        cache: dict = {}
-        mult_rec(i, j, cache)
-        for k in cache:
-            assert all(a <= b <= c for a, b, c in zip(j.entries, k, i.entries))
 
     @given(index_pairs())
     @settings(max_examples=60)

@@ -30,8 +30,8 @@ FROZEN = [
     "value, fields, text", FROZEN, ids=["index", "frobenius", "check_ok", "check_witness"]
 )
 def test_frozen_value_contract(value, fields, text):
-    # A value that cannot be unpickled kills every pool worker it is sent
-    # to, and Pool.starmap then waits forever: fail here instead.
+    # Pickle's default restores each slot by setattr, which a frozen value
+    # refuses; the round trip below fails if __reduce__ stops bypassing it.
     copy = pickle.loads(pickle.dumps(value))
     assert copy == value and hash(copy) == hash(value)
     names = type(value).__slots__
