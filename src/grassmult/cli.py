@@ -172,6 +172,8 @@ def run_table(
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"--format must be csv or json, got {fmt!r}")
+    if len(set(routes)) < len(routes):
+        raise ValueError(f"--route names a route twice, got {routes!r}")
     names = [str(i) for i in enumerate_indices(d, n)]
     workers = min(jobs, len(names), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the rank order, so
@@ -253,6 +255,7 @@ def run_verification(d: int, n: int, seed: int = 0) -> dict:
     identity suites. The report is the dict that verify --format json
     writes. The sweep checks every value to be a multiplicity: a value
     below 1 raises InvariantError."""
+    _require_int(seed, "--seed")
     start = time.perf_counter()
     names = [str(i) for i in enumerate_indices(d, n)]
     pairs_checked, mismatches = 0, []

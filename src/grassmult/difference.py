@@ -85,7 +85,9 @@ def _require_direction(q: int, d: int) -> None:
 
 def _require_box(box, d: int) -> tuple[int, int]:
     """Bounds of the box, checked before any work: integers, nonempty,
-    and at most MAX_BOX_POINTS evaluated points in [lo - 1, hi]^d."""
+    and at most MAX_BOX_POINTS evaluated points in [lo - 1, hi]^d and
+    half-minor entries, counted as up to 2**d row sets for each value
+    tuple of the larger half."""
     try:
         lo, hi = box
     except (TypeError, ValueError) as exc:
@@ -94,10 +96,12 @@ def _require_box(box, d: int) -> tuple[int, int]:
         _require_int(bound, "box bound", pos)
     if lo > hi:
         raise ValueError(f"empty box: lo={lo} > hi={hi}")
-    points = (hi - lo + 2) ** d
-    if points > MAX_BOX_POINTS:
+    side = hi - lo + 2
+    cost = max(side**d, side ** (d - d // 2) * 2**d)
+    if cost > MAX_BOX_POINTS:
         raise ValueError(
-            f"box [{lo - 1}, {hi}]^{d} has {points} points, above MAX_BOX_POINTS={MAX_BOX_POINTS}"
+            f"box [{lo - 1}, {hi}]^{d} needs {cost} evaluations, "
+            f"above MAX_BOX_POINTS={MAX_BOX_POINTS}"
         )
     return lo, hi
 

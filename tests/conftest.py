@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -21,31 +22,36 @@ def cli_env():
 
 
 @pytest.fixture
-def op_calls(monkeypatch):
-    """Record the calls of binom, determinant_bareiss, leq and _up_set at
-    every module binding: the order of each determinant, and the arguments
-    of every other call."""
+def spy(monkeypatch):
+    """spy(name, *owners) replaces the attribute name on each owner, a
+    module or a class, with one wrapper that calls the real function and
+    appends (its arguments by parameter name, its result) to the list it
+    returns. With no owners, every package module binding of name is
+    wrapped."""
     from grassmult import arith, cli, difference, indices, matrices, multiplicity
 
-    homes = {
-        "binom": arith,
-        "determinant_bareiss": matrices,
-        "leq": indices,
-        "_up_set": multiplicity,
-    }
-    calls = {name: [] for name in homes}
+    modules = (arith, matrices, difference, indices, multiplicity, cli)
 
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name].append(len(args[0]) if name == "determinant_bareiss" else args)
-            return real(*args)
+    def spy(name, *owners):
+        owners = owners or [module for module in modules if hasattr(module, name)]
+        real, calls = getattr(owners[0], name), []
+        signature = inspect.signature(real)
 
-        return wrapper
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((signature.bind(*args, **kwargs).arguments, result))
+            return result
 
-    for name, home in homes.items():
-        real = getattr(home, name)
-        wrapper = counted(name, real)
-        for module in (arith, matrices, difference, indices, multiplicity, cli):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, wrapper)
-    return calls
+        for owner in owners:
+            assert getattr(owner, name) is real, (owner, name)
+            monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return spy
+
+
+@pytest.fixture
+def op_calls(spy):
+    """The calls of binom, determinant_bareiss, leq and _up_set at every
+    module binding."""
+    return {name: spy(name) for name in ("binom", "determinant_bareiss", "leq", "_up_set")}

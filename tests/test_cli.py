@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import resource
 import signal
@@ -31,6 +32,11 @@ from grassmult.cli import (
     run_table,
     run_verification,
 )
+
+
+def memos(calls):
+    """The distinct memo dicts that calls recorded by spy were handed, in first-use order."""
+    return list({id(args["memo"]): args["memo"] for args, _ in calls}.values())
 
 
 def run_cli(capsys, *argv):
@@ -189,95 +195,60 @@ class TestTable:
         # 20 pairs x 3 always-on routes, 5 separated pairs, 6 base cells
         assert len(out.splitlines()) == 72
 
-    def test_jobs_do_not_change_bytes(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        serial = run_table(d=2, n=5, routes=("determinant", "recurrence"))
-        parallel = run_table(d=2, n=5, routes=("determinant", "recurrence"), jobs=3)
-        assert serial == parallel
-        everything = dict(d=3, n=7, routes=multiplicity.ROUTES, fmt="json")
-        assert run_table(**everything, jobs=2) == run_table(**everything, jobs=1)
-
-    def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch):
+    def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch, spy):
         # Measured with --jobs 1 and 2 before the sweep was dealt by cells.
-        pools = []
-        real_pool = multiprocessing.Pool
-
-        def counted_pool(processes, **kwargs):
-            pools.append(processes)
-            return real_pool(processes=processes, **kwargs)
-
+        pools = spy("Pool", multiprocessing)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
         code, out, _ = run_cli(
             capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
         )
         assert code == 0
-        assert pools == [2]  # the parent works the third share
+        # The parent works the third share.
+        assert [args["processes"] for args, _ in pools] == [2]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
         )
 
-    def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch):
+    def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch, spy):
         # A pool payload names cells by rank and carries one names list: no
-        # index object and no map is pickled for a worker.
-        payloads = []
-        real_pool = multiprocessing.Pool
-
-        def recording_pool(processes, **kwargs):
-            pool = real_pool(processes=processes, **kwargs)
-            real_starmap = pool.starmap_async
-
-            def recorded(func, iterable):
-                payloads.extend(iterable)
-                return real_starmap(func, iterable)
-
-            pool.starmap_async = recorded
-            return pool
-
+        # index object and no map is pickled for a worker. Three workers
+        # write the same bytes as one, in either format.
         def holds(value, kinds):
             if isinstance(value, kinds):
                 return True
             return isinstance(value, (tuple, list)) and any(holds(v, kinds) for v in value)
 
+        starmaps = spy("starmap_async", multiprocessing.pool.Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-        everything = dict(d=3, n=7, routes=multiplicity.ROUTES)
-        assert run_table(**everything, jobs=3) == run_table(**everything)
-        assert len(payloads) == 2
+        for fmt in ("csv", "json"):
+            everything = dict(d=3, n=7, routes=multiplicity.ROUTES, fmt=fmt)
+            assert run_table(**everything, jobs=3) == run_table(**everything)
+        payloads = [p for args, _ in starmaps for p in args["iterable"]]
+        assert len(payloads) == 4
         assert not any(holds(p, (grassmult.GrassmannIndex, dict)) for p in payloads)
 
-    def test_recurrence_fills_each_value_once(self, monkeypatch):
+    def test_recurrence_fills_each_value_once(self, spy):
         # One lattice of the 35 indices serves every cell; each cell fills
         # the ranks of its up-set once.
-        fills, lattices = [], set()
-        real_fill = multiplicity._recurrence
-
-        def counted_fill(lattice, floor, ranks, values):
-            lattices.add(id(lattice))
-            real_fill(lattice, floor, ranks, values)
-            fills.append(len(ranks))
-
-        monkeypatch.setattr(multiplicity, "_recurrence", counted_fill)
+        fills = spy("_recurrence", multiplicity)
         run_table(d=3, n=7, routes=("recurrence",))
         assert len(fills) == 35
-        assert sum(fills) == 490
-        assert len(lattices) == 1
+        assert sum(len(args["ranks"]) for args, _ in fills) == 490
+        assert len({id(args["lattice"]) for args, _ in fills}) == 1
 
-    def test_determinant_op_counts(self, op_calls, monkeypatch):
+    def test_determinant_op_counts(self, op_calls, spy):
         # One mult_det per pair would take 490 Bareiss and 4 410 binom calls.
         # The half minors take none, and hold 24 + 44 memo entries: columns
-        # (v, s) and column prefixes of the left and the right half.
-        real, memos = multiplicity._half_minors, {}
-
-        def recorded(memo, *args):
-            memos[id(memo)] = memo
-            return real(memo, *args)
-
-        monkeypatch.setattr(multiplicity, "_half_minors", recorded)
-        run_table(d=3, n=7)
+        # (v, s) and column prefixes of the left and the right half. No memo
+        # outlives its sweep, so a second sweep does the same work.
+        halves, counts = spy("_half_minors", multiplicity), []
+        for _ in range(2):
+            run_table(d=3, n=7)
+            counts.append((len(op_calls["binom"]), [len(memo) for memo in memos(halves)]))
+            op_calls["binom"].clear()
+            halves.clear()
         assert op_calls["determinant_bareiss"] == []
-        assert len(op_calls["binom"]) == 66
-        assert sorted(len(memo) for memo in memos.values()) == [24, 44]
+        assert counts == [(66, [24, 44])] * 2
 
     def test_no_containment_check_per_pair(self, op_calls):
         # Each up-set is built above its cell: one walk per cell for any
@@ -289,12 +260,13 @@ class TestTable:
         ):
             run_table(d=3, n=7, routes=routes)
             assert op_calls["leq"] == []
-            assert [args[2] for args in op_calls["_up_set"]] == [keyed] * 35
+            assert [args["shifts"] for args, _ in op_calls["_up_set"]] == [keyed] * 35
             op_calls["_up_set"].clear()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
-        # Forked workers inherit the patched division.
+        # Forked workers inherit the patched division. One job takes the
+        # path of test_every_sweep_command_checks_its_values[table].
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
         code, out, err = run_cli(
@@ -304,91 +276,48 @@ class TestTable:
         assert out == ""
         assert err == "internal error: multiplicity must be >= 1, got 0\n"
 
-    def test_no_memo_outlives_a_sweep(self, op_calls):
-        counts = []
-        for _ in range(2):
-            run_table(d=3, n=7)
-            counts.append(len(op_calls["binom"]) - sum(counts))
-        assert counts == [66, 66]
-
-    def test_scope_tested_without_a_message(self, monkeypatch):
+    def test_scope_tested_without_a_message(self, spy):
         # Product's scope is tested on each of the 490 pairs, weyman's once
         # per cell. The product and weyman engines take entry tuples: no
         # refusal is formatted and no index is built beyond the 35 cells.
-        scopes, refusals, indices = [], [], []
-        real_covers, real_refusal = multiplicity._covers, multiplicity._refusal
-        real_init = grassmult.GrassmannIndex.__init__
-
-        def counted_covers(route, i_entries, j_entries):
-            scopes.append(route)
-            return real_covers(route, i_entries, j_entries)
-
-        def counted_refusal(route, i, j):
-            refusals.append(real_refusal(route, i, j))
-            return refusals[-1]
-
-        def counted_init(self, entries, n):
-            indices.append(entries)
-            real_init(self, entries, n)
-
-        monkeypatch.setattr(multiplicity, "_covers", counted_covers)
-        monkeypatch.setattr(multiplicity, "_refusal", counted_refusal)
-        monkeypatch.setattr(grassmult.GrassmannIndex, "__init__", counted_init)
+        scopes, refusals = spy("_covers", multiplicity), spy("_refusal", multiplicity)
+        indices = spy("__init__", grassmult.GrassmannIndex)
         run_table(d=3, n=7, routes=multiplicity.ROUTES)
-        assert sorted(Counter(scopes).items()) == [("product", 490), ("weyman", 35)]
+        routes = Counter(args["route"] for args, _ in scopes)
+        assert sorted(routes.items()) == [("product", 490), ("weyman", 35)]
         assert refusals == []
         assert len(indices) == 35
 
-    def test_one_shift_vector_per_pair(self, monkeypatch):
+    def test_one_shift_vector_per_pair(self, spy):
         # The walk builds each pair's shift vector once, alongside its
         # entries, from one table of n + 1 counts per cell: 280 bisections,
         # against 1 470 when each pair's vector is counted on its own. The
         # determinant and sum columns share it.
-        bisections, walked = [], []
-        real_bisect, real_walk = multiplicity.bisect_right, multiplicity._up_set
-
-        def counted(js, v):
-            bisections.append(v)
-            return real_bisect(js, v)
-
-        def recorded(floor, ceil, shifts):
-            out = real_walk(floor, ceil, shifts)
-            walked.extend((floor, t, s) for t, s in out)
-            return out
-
-        monkeypatch.setattr(multiplicity, "bisect_right", counted)
-        monkeypatch.setattr(multiplicity, "_up_set", recorded)
+        bisections, walks = spy("bisect_right", multiplicity), spy("_up_set", multiplicity)
         run_table(d=3, n=7, routes=("determinant", "sum"))
+        walked = [(args["floor"], t, s) for args, out in walks for t, s in out]
         assert len(bisections) == 35 * 8
         assert len(walked) == 490
-        monkeypatch.setattr(multiplicity, "bisect_right", real_bisect)
         assert all(
             s == multiplicity.s_vector(grassmult.validate(t, 7), grassmult.validate(floor, 7))
             for floor, t, s in walked
         )
 
-    def test_sum_memo_lives_for_one_cell(self, monkeypatch):
+    def test_sum_memo_lives_for_one_cell(self, spy):
         # Each class (i, s) is summed once per sweep, so only the 15 cells
         # that meet a new class fill a prefix memo: 236 prefix terms,
         # against 2 044 offset vectors of one Vandermonde product each.
-        memos: dict = {}
-        real_sum = multiplicity._vandermonde_sum
-
-        def recorded(memo, shifts, point):
-            memos[id(memo)] = memo
-            return real_sum(memo, shifts, point)
-
-        monkeypatch.setattr(multiplicity, "_vandermonde_sum", recorded)
-        counts = []
+        sums, counts = spy("_vandermonde_sum", multiplicity), []
         for _ in range(2):
             run_table(d=3, n=7, routes=("sum",))
-            terms = sum(len(prefix) for memo in memos.values() for prefix in memo.values())
-            counts.append((len(memos), terms))
-            memos.clear()
+            cells = memos(sums)
+            terms = sum(len(prefix) for memo in cells for prefix in memo.values())
+            counts.append((len(cells), terms))
+            sums.clear()
         assert counts == [(15, 236), (15, 236)]
 
     @pytest.mark.parametrize("d, n, classes", [(3, 7, 105), (4, 9, 771)])
-    def test_each_class_evaluated_once(self, monkeypatch, d, n, classes):
+    def test_each_class_evaluated_once(self, spy, d, n, classes):
         # The determinant and the sum fill their value dicts once per
         # distinct (i, s_vector(i, j)), however many pairs share it.
         cells = list(grassmult.enumerate_indices(d, n))
@@ -397,21 +326,12 @@ class TestTable:
             for j in cells for i in cells if grassmult.leq(j, i)
         }
         assert len(expected) == classes
-        halves, sums = [], []
-        real_half, real_sum = multiplicity._half_minors, multiplicity._vandermonde_sum
-
-        def half(memo, values, shifts, *rest):
-            halves.append((values, shifts))
-            return real_half(memo, values, shifts, *rest)
-
-        def summed(memo, shifts, point):
-            sums.append((point, shifts))
-            return real_sum(memo, shifts, point)
-
-        monkeypatch.setattr(multiplicity, "_half_minors", half)
-        monkeypatch.setattr(multiplicity, "_vandermonde_sum", summed)
+        half_calls = spy("_half_minors", multiplicity)
+        sum_calls = spy("_vandermonde_sum", multiplicity)
         run_table(d=d, n=n, routes=("determinant", "sum"))
+        halves = [(args["values"], args["shifts"]) for args, _ in half_calls]
         dets = [(lt + rt, ls + rs) for (lt, ls), (rt, rs) in zip(halves[::2], halves[1::2])]
+        sums = [(args["point"], args["shifts"]) for args, _ in sum_calls]
         for fills in (dets, sums):
             assert len(fills) == classes
             assert set(fills) == expected
@@ -439,12 +359,17 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "option, match",
-        [({"jobs": 2.0}, "--jobs"), ({"jobs": True}, "--jobs"), ({"fmt": "CSV"}, "--format")],
-        ids=["float-jobs", "bool-jobs", "upper-format"],
+        [
+            ({"jobs": 2.0}, "--jobs"), ({"jobs": True}, "--jobs"), ({"fmt": "CSV"}, "--format"),
+            ({"routes": ("determinant",) * 2}, "--route"), ({"routes": ("nope",)}, "unknown"),
+        ],
+        ids=["float-jobs", "bool-jobs", "upper-format", "repeated-route", "unknown-route"],
     )
     def test_rejects_coerced_arguments(self, option, match):
         # A float or bool worker count is refused, never coerced, and so is
         # any format but csv or json, which would otherwise render as json.
+        # A repeated route would write each of its rows twice, and the
+        # sweep refuses a route it does not know.
         with pytest.raises(ValueError, match=match):
             run_table(d=1, n=3, **option)
 
@@ -557,15 +482,8 @@ class TestTable:
                 pass
             proc.wait()
 
-    def test_pool_size_clamps(self, monkeypatch):
-        started = []
-        real_pool = multiprocessing.Pool
-
-        def counted_pool(processes, **kwargs):
-            started.append(processes)
-            return real_pool(processes=processes, **kwargs)
-
-        monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    def test_pool_size_clamps(self, monkeypatch, spy):
+        started = spy("Pool", multiprocessing)
         # The parent is one of the workers, so a pool has one process fewer.
         for d, n, jobs, cpus, pools in [
             (2, 5, 4, 2, [1]),  # at most one worker per CPU
@@ -574,7 +492,7 @@ class TestTable:
         ]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_table(d, n, jobs=jobs) == run_table(d, n)
-            assert started == pools
+            assert [args["processes"] for args, _ in started] == pools
             started.clear()
 
     def test_json_table(self, capsys):
@@ -635,6 +553,12 @@ class TestVerify:
         a = run_verification(1, 2, seed=7)
         assert a["seed"] == 7
         assert a["ok"] is True
+
+    @pytest.mark.parametrize("seed", [1.5, True, "abc"])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # random.Random would hash any of these and the report echo it.
+        with pytest.raises(ValueError, match="--seed"):
+            run_verification(1, 3, seed=seed)
 
     def test_mismatch_renders_fail(self):
         text = _render_verify_text(self.FAILING)
@@ -713,12 +637,12 @@ class TestVerify:
         ] for route in routes.split()]
 
     @pytest.mark.parametrize("engine, broken", [
-        ("exact_div", lambda a, b: 0),  # every route but the determinant
         ("_half_minors", lambda *args: [0]),  # the determinant
-    ], ids=["routes", "determinant"])
+    ], ids=["determinant"])
     def test_invalid_value_is_an_internal_error(self, capsys, monkeypatch, engine, broken):
         # A value below 1 breaks an invariant of the code, so it is no
-        # verification mismatch: exit 5 and no report.
+        # verification mismatch: exit 5 and no report. Every other route
+        # is broken in test_every_sweep_command_checks_its_values[verify].
         monkeypatch.setattr(multiplicity, engine, broken)
         code, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "4")
         assert code == 5

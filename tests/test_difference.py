@@ -162,21 +162,16 @@ class TestBoxValues:
         expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
         assert _box_values(shifts, lo, hi, ({}, {})) == expected
 
-    def test_minor_count(self, op_calls, monkeypatch):
+    def test_minor_count(self, op_calls, spy):
         # No determinant: one memo entry per column (v, s) and per column
         # prefix of a half, 2 * 13 + 13 + 13**2 = 208 per half of [-6, 6]^4.
         # The shift check's boxes share their memos, so raising shift 3 adds
         # 13 + 13 + 13**2 entries to the right half only.
-        real, memos = difference._box_values, []
-
-        def recorded(shifts, lo, hi, pair):
-            memos.append(pair)
-            return real(shifts, lo, hi, pair)
-
-        monkeypatch.setattr(difference, "_box_values", recorded)
+        boxes = spy("_box_values", difference)
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
         assert op_calls["determinant_bareiss"] == []
+        memos = [args["memos"] for args, _ in boxes]
         assert memos[1] is memos[2]
         sizes = [[len(memo) for memo in pair] for pair in memos[:2]]
         assert sizes == [[208, 208], [208, 403]]
@@ -191,11 +186,14 @@ class TestBoxValues:
         assert len(op_calls["binom"]) == 208 + 260
 
     def test_cost_bound_before_any_work(self, op_calls):
-        assert 13**9 > MAX_BOX_POINTS
-        with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
-            check_difference_eq((0,) * 9, (-5, 6))
-        with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
-            check_shift_identity((0,) * 9, 1, (-5, 6))
+        # 13**9 points, or 2**16 points whose larger half alone has 2**8
+        # value tuples of up to 2**16 minors each.
+        assert min(13**9, 2**8 * 2**16) > MAX_BOX_POINTS
+        for d, box in ((9, (-5, 6)), (16, (0, 0))):
+            with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
+                check_difference_eq((0,) * d, box)
+            with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
+                check_shift_identity((0,) * d, 1, box)
         assert all(calls == [] for calls in op_calls.values())
 
 

@@ -129,6 +129,11 @@ class TestDeterminantSweep:
                     assert all(a < b for a, b in zip(ranks, ranks[1:]))
                     assert [cells[r] for r in ranks] == [i for i in cells if leq(j, i)]
 
+    def test_evaluate_refuses_an_unknown_route(self):
+        i = validate((1,), 1)
+        with pytest.raises(ValueError, match="unknown route 'nope'"):
+            _evaluate("nope", i, i)
+
     @pytest.mark.parametrize(
         "routes, max_n",
         [(ROUTES, 7), (("determinant",), 9), (("sum",), 9)],
@@ -199,16 +204,9 @@ class TestRecurrence:
         ],
         ids=["adjacent", "wide", "small"],
     )
-    def test_one_pair_builds_its_interval_only(self, monkeypatch, i, j, interval):
+    def test_one_pair_builds_its_interval_only(self, spy, i, j, interval):
         i, j = validate(i, 10**6), validate(j, 10**6)
-        built, real = [], multiplicity._lattice
-
-        def recorded(floor, ceil):
-            lattice = real(floor, ceil)
-            built.extend(t for t, _ in lattice)
-            return lattice
-
-        monkeypatch.setattr(multiplicity, "_lattice", recorded)
+        lattices = spy("_lattice", multiplicity)
         tracemalloc.start()
         try:
             value = mult_rec(i, j)
@@ -216,7 +214,7 @@ class TestRecurrence:
         finally:
             tracemalloc.stop()
         assert value == mult_det(i, j)
-        assert built == interval
+        assert [t for _, lattice in lattices for t, _ in lattice] == interval
         assert peak < 100_000  # a table as long as n would take megabytes
 
     @given(index_pairs())
