@@ -27,7 +27,6 @@ from .multiplicity import (
     ROUTES,
     InvariantError,
     RouteInapplicableError,
-    _covers,
     _evaluate,
     _refusal,
     _require_multiplicity,
@@ -127,7 +126,7 @@ def cmd_compute(args) -> int:
         raise ValueError(f"--i and --j must have the same length, got {i.d} and {j.d}")
     _require_pair(i, j)
     if not args.route or "all" in args.route:
-        routes = tuple(r for r in ROUTES if _covers(r, i.entries, j.entries))
+        routes = tuple(r for r in ROUTES if not _refusal(r, i, j))
     else:
         routes = _normalize_routes(args.route)
         for route in routes:
@@ -249,12 +248,14 @@ def _run_identity_suite(rng: random.Random, name: str, case, cases: int) -> dict
     return {"name": name, "cases": cases, "failures": failures, "passed": failures == 0}
 
 
-def run_verification(d: int, n: int, seed: int = 0) -> dict:
+def run_verification(d: int, n: int, seed: int = 0, force: bool = False) -> dict:
     """Check the determinant against every other route that covers the
     pair, on every pair j <= i of I(d, n), then run the seeded random
     identity suites. The report is the dict that verify --format json
     writes. The sweep checks every value to be a multiplicity: a value
-    below 1 raises InvariantError."""
+    below 1 raises InvariantError. Like run_table, it refuses n above
+    GUARD unless force is set."""
+    _check_guard(d, n, force)
     _require_int(seed, "--seed")
     start = time.perf_counter()
     names = [str(i) for i in enumerate_indices(d, n)]
@@ -299,8 +300,7 @@ def _render_verify_text(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    _check_guard(args.d, args.n, args.force)
-    report = run_verification(args.d, args.n, args.seed)
+    report = run_verification(args.d, args.n, args.seed, args.force)
     if args.format == "json":
         import json
         text = json.dumps(report, indent=2) + "\n"
@@ -324,7 +324,8 @@ def cmd_bench(args) -> int:
     for route in routes:
         start = time.perf_counter()
         for _ in range(args.reps):
-            pairs = sum(len(c) - c.count(None) for _, (c,) in _sweep(args.d, args.n, cells, (route,)))
+            # One route's sweep walks only the pairs that route covers.
+            pairs = sum(len(ranks) for ranks, _ in _sweep(args.d, args.n, cells, (route,)))
         elapsed = time.perf_counter() - start
         done = pairs * args.reps
         rate = done / elapsed if elapsed > 0 else float("inf")

@@ -38,9 +38,9 @@ and builds no index object.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from operator import mul
+from operator import le, mul
 
 from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
 from .difference import _extension_plan, _half_minors, eval_poly
@@ -357,18 +357,27 @@ def _weyman(entries: tuple[int, ...]) -> int:
 # mult_product's guard)
 
 
-def _covers(route: str, i_entries: tuple[int, ...], j_entries: tuple[int, ...]) -> bool:
-    """Whether route covers the pair j <= i, given by entry tuples."""
+def _floor(route: str, j_entries: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The least i that route covers at the cell j, given by its entries,
+    or None when route covers no i at j.
+
+    The i that route covers at j are exactly the up-set {i >= floor}, and
+    in lexicographic order they are the tail of j's up-set from floor on.
+    Determinant, recurrence and sum cover every i >= j. Product needs
+    j_d <= i_1, and its floor is (j_d, j_d + 1, ..., j_d + d - 1): an
+    increasing t is >= it exactly when t_1 >= j_d, and those t come after
+    every t with t_1 < j_d. Weyman's floor is j at the base cell
+    (1, ..., d), the one increasing positive j with j_d == d, and None
+    elsewhere."""
     if route == ROUTE_PRODUCT:
-        return j_entries[-1] <= i_entries[0]
-    if route == ROUTE_WEYMAN:
-        return j_entries == tuple(range(1, len(j_entries) + 1))
-    return True
+        return tuple(range(j_entries[-1], j_entries[-1] + len(j_entries)))
+    return None if route == ROUTE_WEYMAN and j_entries[-1] != len(j_entries) else j_entries
 
 
 def _refusal(route: str, i: GrassmannIndex, j: GrassmannIndex) -> str | None:
     """Why route does not cover the pair j <= i, or None when it does."""
-    if _covers(route, i.entries, j.entries):
+    floor = _floor(route, j.entries)
+    if floor is not None and all(map(le, floor, i.entries)):
         return None
     if route == ROUTE_PRODUCT:
         return (
@@ -399,13 +408,16 @@ def _sweep(
     d: int, n: int, cells: Sequence[int], routes: Sequence[str]
 ) -> Iterator[tuple[list[int], list[list[int | None]]]]:
     """For each cell j of cells, given by its rank in I(d, n) in the
-    lexicographic order enumerate_indices yields: its up-set {i >= j} as
-    increasing ranks, walked once by _up_set, and one column per route,
-    aligned with the up-set: the route's value on each pair, None where the
-    route does not cover it. Every i is >= j by construction, so no route
-    checks containment per pair and none builds an index. Each column is
-    checked once as it is handed out: its least value must be a
-    multiplicity, or InvariantError is raised.
+    lexicographic order enumerate_indices yields: the up-set {i >= f} of
+    the least floor f that the routes have at j (see _floor) as increasing
+    ranks, walked once by _up_set, and one column per route, aligned with
+    those ranks. The pairs a route covers are the tail from its own
+    floor's rank on, found by one bisection per cell and route: its column
+    holds None before that rank and the route's value from it on, and no
+    pair's scope is tested. A cell that no route covers is not walked and
+    yields no rank. Every i is >= j by construction, so no route checks
+    containment per pair and none builds an index. Each column is checked once as it is handed out: its
+    least value must be a multiplicity, or InvariantError is raised.
 
     One lattice of I(d, n) and one rank map of its tuples are built per
     call, for every route. The determinant and the sum see a pair only
@@ -415,7 +427,7 @@ def _sweep(
     for this call; the sum by its prefix-term engine, with a prefix memo
     per cell. The recurrence runs its engine on the lattice, with one value
     list by rank that each cell overwrites on the ranks of its up-set;
-    product and weyman run their engines on the pairs _covers admits.
+    product and weyman run their engines on the tail from their floor.
     """
     top = tuple(range(n - d + 1, n + 1))
     lattice = _lattice(tuple(range(1, d + 1)), top)
@@ -431,11 +443,13 @@ def _sweep(
 
     for c in cells:
         js = lattice[c][0]
-        walk = _up_set(js, top, keyed)
+        floors = [_floor(route, js) for route in routes]
+        walk = _up_set(min(filter(None, floors)), top, keyed) if any(floors) else []
         ups = [t for t, _ in walk] if keyed else walk
         ranks = [rank[t] for t in ups]
         columns = []
-        for route in routes:
+        for route, floor in zip(routes, floors):
+            skip = bisect_left(ranks, rank.get(floor, len(lattice)))
             if route == ROUTE_DETERMINANT:
                 column = _by_class(det_values, walk, det)
             elif route == ROUTE_RECURRENCE:
@@ -444,13 +458,12 @@ def _sweep(
             elif route == ROUTE_SUM:
                 memo: dict = {}
                 column = _by_class(sum_values, walk, lambda t, s: _vandermonde_sum(memo, s, t))
-            elif route == ROUTE_PRODUCT:
-                column = [_product(t) if _covers(route, t, js) else None for t in ups]
-            elif route == ROUTE_WEYMAN:  # its scope depends on j alone
-                column = [_weyman(t) for t in ups] if _covers(route, js, js) else [None] * len(ups)
+            elif route in (ROUTE_PRODUCT, ROUTE_WEYMAN):
+                engine = _product if route == ROUTE_PRODUCT else _weyman
+                column = [None] * skip + [engine(t) for t in ups[skip:]]
             else:
                 raise ValueError(f"unknown route {route!r}")
-            _require_multiplicity(min((v for v in column if v is not None), default=1))
+            _require_multiplicity(min(column[skip:], default=1))
             columns.append(column)
         yield ranks, columns
 

@@ -277,16 +277,24 @@ class TestTable:
         assert err == "internal error: multiplicity must be >= 1, got 0\n"
 
     def test_scope_tested_without_a_message(self, spy):
-        # Product's scope is tested on each of the 490 pairs, weyman's once
-        # per cell. The product and weyman engines take entry tuples: no
+        # Each route's scope is read once per cell, as its floor, and never
+        # per pair. The product and weyman engines take entry tuples: no
         # refusal is formatted and no index is built beyond the 35 cells.
-        scopes, refusals = spy("_covers", multiplicity), spy("_refusal", multiplicity)
-        indices = spy("__init__", grassmult.GrassmannIndex)
+        floors, refusals = spy("_floor", multiplicity), spy("_refusal", multiplicity)
+        indices, walks = spy("__init__", grassmult.GrassmannIndex), spy("_up_set", multiplicity)
         run_table(d=3, n=7, routes=multiplicity.ROUTES)
-        routes = Counter(args["route"] for args, _ in scopes)
-        assert sorted(routes.items()) == [("product", 490), ("weyman", 35)]
+        assert Counter(args["route"] for args, _ in floors) == dict.fromkeys(multiplicity.ROUTES, 35)
         assert refusals == []
         assert len(indices) == 35
+        # A product-only sweep walks the 28 separated pairs, and a
+        # weyman-only sweep the base cell's 35 in one walk; a walk of every
+        # up-set takes 490 tuples.
+        walks.clear()
+        run_table(d=3, n=7, routes=("product",))
+        assert sum(len(out) for _, out in walks) == 28
+        walks.clear()
+        run_table(d=3, n=7, routes=("weyman",))
+        assert [len(out) for _, out in walks] == [35]
 
     def test_one_shift_vector_per_pair(self, spy):
         # The walk builds each pair's shift vector once, alongside its
@@ -654,6 +662,16 @@ class TestVerify:
         assert code == 4
         assert "size guard" in err
 
+    def test_library_call_checks_the_guard(self, spy):
+        # As run_table does: refused before any sweep unless forced.
+        sweeps = spy("_sweep")
+        with pytest.raises(cli.GuardExceededError, match="size guard"):
+            run_verification(1, 13)
+        assert sweeps == []
+        report = run_verification(1, 13, force=True)
+        assert (report["pairs_checked"], report["ok"]) == (91, True)
+        assert len(sweeps) == 1
+
 
 class TestBench:
     def test_default_routes(self, capsys):
@@ -664,6 +682,15 @@ class TestBench:
         assert all(line.startswith("route=") for line in lines)
         assert all("pairs_per_sec=" in line for line in lines)
         assert "pairs=20" in lines[0]
+
+    def test_pairs_per_route(self, capsys):
+        # Each route's sweep counts the pairs it covers: every pair for
+        # the first three, the separated pairs for product and the base
+        # cell's up-set for weyman.
+        code, out, _ = run_cli(capsys, "bench", "--d", "3", "--n", "7")
+        assert code == 0
+        counts = [line.split()[1] for line in out.splitlines()]
+        assert counts == ["pairs=490"] * 3 + ["pairs=28", "pairs=35"]
 
     def test_reps_validation(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--d", "1", "--n", "2", "--reps", "0")

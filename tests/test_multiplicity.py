@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 import tracemalloc
 
@@ -11,7 +11,7 @@ from strategies import index_pairs
 
 from grassmult.arith import factorial_superproduct
 from grassmult.difference import eval_poly
-from grassmult.indices import enumerate_indices, leq, validate
+from grassmult.indices import GrassmannIndex, enumerate_indices, leq, validate
 from grassmult import multiplicity
 from grassmult.matrices import vandermonde
 from grassmult.multiplicity import (
@@ -111,6 +111,28 @@ class TestRoutesOnFrozenPairs:
             assert mult_rec(i, i) == 1
             assert mult_sum(i, i) == 1
 
+    def test_scope_is_the_readme_table(self):
+        # The sweep and _refusal both read _floor, so a column compared
+        # with _refusal cannot show a wrong floor. This states the scope
+        # as README's table does, pair by pair: product j_d <= i_1,
+        # weyman j = (1..d), the other routes every pair.
+        pairs = 0
+        for n in range(1, 10):
+            for d in range(1, n + 1):
+                cells = [GrassmannIndex(t, n) for t in combinations(range(1, n + 1), d)]
+                base = tuple(range(1, d + 1))
+                for j in cells:
+                    for i in cells:
+                        if all(a <= b for a, b in zip(j.entries, i.entries)):
+                            pairs += 1
+                            scope = {
+                                "product": j.entries[-1] <= i.entries[0],
+                                "weyman": j.entries == base,
+                            }
+                            for route in ROUTES:
+                                assert (_refusal(route, i, j) is None) == scope.get(route, True)
+        assert pairs == 23703
+
     def test_product_inapplicable(self):
         i = validate((2, 4), 4)
         j = validate((1, 3), 4)
@@ -125,7 +147,7 @@ class TestDeterminantSweep:
         for n in range(1, 9):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
-                for j, (ranks, _) in zip(cells, _sweep(d, n, range(len(cells)), ())):
+                for j, (ranks, _) in zip(cells, _sweep(d, n, range(len(cells)), ("recurrence",))):
                     assert all(a < b for a, b in zip(ranks, ranks[1:]))
                     assert [cells[r] for r in ranks] == [i for i in cells if leq(j, i)]
 
@@ -181,6 +203,15 @@ class TestDuality:
                     dual_det, dual_rec, _ = there[dual(i, n), dual(j, n)]
                     assert det == dual_rec
                     assert summed == dual_det
+
+    @given(index_pairs(max_n=14, max_d=13).filter(lambda pair: pair[0].d < pair[0].n))
+    @settings(max_examples=100, deadline=None)
+    def test_single_dual_pairs_agree(self, pair):
+        # The library's routes one pair at a time, beyond the sweep's n <= 9.
+        i, j = pair
+        i_dual, j_dual = (GrassmannIndex(dual(x.entries, x.n), x.n) for x in pair)
+        assert mult_det(i, j) == mult_rec(i_dual, j_dual)
+        assert mult_rec(i, j) == mult_det(i_dual, j_dual)
 
 
 class TestRecurrence:
