@@ -4,6 +4,8 @@ of each column last.
 
     python3 scripts/line_counts.py
 
+It exits 0, or 141 when its reader closes stdout early.
+
 A code line is any line that is not blank, not a comment line (first
 non-blank character '#') and not part of a docstring of a module, class or
 function, as ast reads them. So a change that only trims prose lowers the
@@ -13,6 +15,7 @@ total and leaves the code column as it was.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -61,9 +64,16 @@ def table(directory: Path) -> None:
 
 
 def main() -> int:
-    table(PACKAGE)
-    print()
-    table(TESTS)
+    try:
+        table(PACKAGE)
+        print()
+        table(TESTS)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: the flush at shutdown
+        # goes to devnull, and the exit code is 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

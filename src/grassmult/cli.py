@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 n exceeds the size guard
 GUARD = 12 (override with --force), 5 internal error (an exact division
 left a remainder, or a computed value broke an invariant), 6 out of
-memory, 130 interrupted (SIGINT).
+memory, 130 interrupted (SIGINT), 141 stdout closed by its reader (as
+by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import os
 import random
 import sys
 import time
-from itertools import chain
 from math import comb
 
 from .arith import InexactDivisionError, _require_int, binom, factorial_superproduct
@@ -63,9 +63,10 @@ def _normalize_routes(route_args) -> tuple[str, ...] | None:
     return tuple(r for r in ROUTES if r in chosen)
 
 
-def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int) -> str:
+def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int | str) -> str:
     """One row as its final text: a CSV line, or the object that
-    json.dumps(rows, indent=2) writes for it (no field needs escaping)."""
+    json.dumps(rows, indent=2) writes for it (no field needs escaping).
+    With "%s" for i and value, it is the template of every row of (j, route)."""
     if fmt == "csv":
         return f"{n},{d},{i},{j},{route},{value}\n"
     return (
@@ -74,31 +75,34 @@ def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int) -> st
     )
 
 
-def _document(rows, fmt: str) -> str:
-    """Row texts in order as one CSV or JSON document."""
+def _document(chunks: list[str], fmt: str) -> list[str]:
+    """Chunks of rows in order as the pieces of one CSV or JSON document.
+    A JSON chunk holds its objects joined by ",\\n"; an empty chunk, of an
+    index with no rows, adds nothing."""
     if fmt == "csv":
-        return "".join(chain((CSV_HEADER,), rows))
-    body = ",\n".join(rows)
-    return f"[\n{body}\n]\n" if body else "[]\n"
+        return [CSV_HEADER, *chunks]
+    body = [piece for chunk in chunks if chunk for piece in (",\n", chunk)][1:]
+    return ["[\n", *body, "\n]\n"] if body else ["[]\n"]
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text to stdout, or to out_path through a temp file beside it
+def _emit(pieces: list[str], out_path: str | None) -> None:
+    """Write pieces to stdout, or to out_path through a temp file beside it
     that is moved into place, so the path never holds a partial write."""
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
         return
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
         if os.path.exists(out_path) and not os.path.isfile(out_path):
             # A device or a pipe is written in place; replacing it would remove it.
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             return
         fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, out_path)
         except BaseException:
             os.unlink(tmp)
@@ -143,28 +147,18 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _table_cells(d, n, cells, routes, fmt, names) -> list[list[tuple[int, str]]]:
-    """Sweep worker: for each dealt cell, a rank in I(d, n), the rows of
-    its up-set as (rank of i, final row text), route by route, so the rows
-    of each i come in route order. names[r] is the name of the index of
-    rank r."""
-    out = []
-    for c, (ranks, columns) in zip(cells, _sweep(d, n, cells, routes)):
-        out.append([
-            (r, _row(fmt, n, d, names[r], names[c], route, value))
-            for route, column in zip(routes, columns)
-            for r, value in zip(ranks, column)
-            if value is not None
-        ])
-    return out
+def _share(d: int, n: int, cells: range, routes: tuple[str, ...]) -> list:
+    """_sweep over cells as a list, which a pool worker can return."""
+    return list(_sweep(d, n, cells, routes))
 
 
 def run_table(
     d: int, n: int, routes: tuple[str, ...] = (ROUTE_DETERMINANT,), fmt: str = "csv",
     jobs: int = 1, force: bool = False,
-) -> str:
-    """Rows for every pair j <= i of I(d, n), lexicographic by i then j,
-    one row per requested applicable route, rendered to fmt."""
+) -> list[str]:
+    """The pieces of one CSV or JSON document: for every pair j <= i of
+    I(d, n), lexicographic by i then j, one row per requested route that
+    covers the pair, in route order."""
     _check_guard(d, n, force)
     _require_int(jobs, "--jobs")
     if jobs < 1:
@@ -177,24 +171,33 @@ def run_table(
     workers = min(jobs, len(names), os.cpu_count() or 1)
     # Cells are dealt round-robin: up-sets shrink along the rank order, so
     # contiguous blocks would leave the first worker most of the pairs.
-    payloads = [(d, n, range(w, len(names), workers), routes, fmt, names) for w in range(workers)]
-    if workers == 1:
-        dealt = [_table_cells(*payloads[0])]
-    else:
+    payloads = [(d, n, range(w, len(names), workers), routes) for w in range(workers)]
+    # A lone worker reads its share lazily, cell by cell as the sweep yields it.
+    shares = [_sweep(*payloads[0])]
+    if workers > 1:
         import signal
         from multiprocessing import Pool
         # Workers ignore SIGINT; the parent takes it and the block ends them.
         ignore = (signal.SIGINT, signal.SIG_IGN)
         with Pool(processes=workers - 1, initializer=signal.signal, initargs=ignore) as pool:
-            # The parent works share 0 while the pool works the others.
-            rest = pool.starmap_async(_table_cells, payloads[1:])
-            dealt = [_table_cells(*payloads[0]), *rest.get()]
-    # Walking the cells in order fills each i's bucket in order of j.
-    buckets: list[list[str]] = [[] for _ in names]
-    for c in range(len(names)):  # cell c was dealt to worker c % workers
-        for r, text in dealt[c % workers][c // workers]:
-            buckets[r].append(text)
-    return _document(chain.from_iterable(buckets), fmt)
+            # The parent lists share 0 while the pool works the others.
+            rest = pool.starmap_async(_share, payloads[1:])
+            shares = [iter(_share(*payloads[0])), *map(iter, rest.get())]
+    # Each value is filed under its i with its (j, route) template, in
+    # cell order. Every j <= i precedes i in rank, so i's rows are all
+    # filed once cell i is read: they are rendered then, as one chunk.
+    filed: list = [[] for _ in names]
+    chunks, sep = [], "" if fmt == "csv" else ",\n"
+    for c, name in enumerate(names):
+        ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
+        for route, column in zip(routes, columns):
+            template = _row(fmt, n, d, "%s", name, route, "%s")
+            for r, value in zip(ranks, column):
+                if value is not None:
+                    filed[r] += template, value
+        rows, filed[c] = iter(filed[c]), None
+        chunks.append(sep.join(template % (name, value) for template, value in zip(rows, rows)))
+    return _document(chunks, fmt)
 
 
 def cmd_table(args) -> int:
@@ -306,7 +309,7 @@ def cmd_verify(args) -> int:
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = _render_verify_text(report)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0 if report["ok"] else 1
 
 
@@ -327,13 +330,12 @@ def cmd_bench(args) -> int:
             # One route's sweep walks only the pairs that route covers.
             pairs = sum(len(ranks) for ranks, _ in _sweep(args.d, args.n, cells, (route,)))
         elapsed = time.perf_counter() - start
-        done = pairs * args.reps
-        rate = done / elapsed if elapsed > 0 else float("inf")
+        rate = pairs * args.reps / elapsed if elapsed > 0 else float("inf")
         lines.append(
             f"route={route} pairs={pairs} reps={args.reps} "
             f"seconds={elapsed:.4f} pairs_per_sec={rate:.1f}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -415,6 +417,10 @@ def main(argv=None) -> int:
         return 6
     except KeyboardInterrupt:
         return 130
+    except BrokenPipeError:
+        # The reader closed stdout: the flush at shutdown goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -210,13 +211,19 @@ class TestTable:
         )
 
     def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch, spy):
-        # A pool payload names cells by rank and carries one names list: no
-        # index object and no map is pickled for a worker. Three workers
-        # write the same bytes as one, in either format.
+        # A pool payload is _sweep's arguments, cells by rank: no index
+        # object, map or list is pickled for a worker. A worker returns
+        # _sweep's ranks and values, ints and None, and no text. Three
+        # workers write the same bytes as one, in either format.
         def holds(value, kinds):
             if isinstance(value, kinds):
                 return True
             return isinstance(value, (tuple, list)) and any(holds(v, kinds) for v in value)
+
+        def leaves(value):
+            if isinstance(value, (tuple, list)):
+                return [leaf for v in value for leaf in leaves(v)]
+            return [value]
 
         starmaps = spy("starmap_async", multiprocessing.pool.Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -225,7 +232,9 @@ class TestTable:
             assert run_table(**everything, jobs=3) == run_table(**everything)
         payloads = [p for args, _ in starmaps for p in args["iterable"]]
         assert len(payloads) == 4
-        assert not any(holds(p, (grassmult.GrassmannIndex, dict)) for p in payloads)
+        assert not any(holds(p, (grassmult.GrassmannIndex, dict, list)) for p in payloads)
+        returned = leaves([result.get() for _, result in starmaps])
+        assert returned and all(type(leaf) is int or leaf is None for leaf in returned)
 
     def test_recurrence_fills_each_value_once(self, spy):
         # One lattice of the 35 indices serves every cell; each cell fills
@@ -346,7 +355,7 @@ class TestTable:
 
     def test_table_det_digest(self):
         # The table_det gate of the layered benchmark.
-        out = run_table(d=4, n=11)
+        out = "".join(run_table(d=4, n=11))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "8a405cd26c88601df1ccdb3b00d1553230bf685418761b399f6d84f3db77e1db"
         )
@@ -356,7 +365,7 @@ class TestTable:
         # and through a pool of two workers.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for jobs in (1, 2):
-            out = run_table(d=4, n=10, routes=("recurrence",), jobs=jobs)
+            out = "".join(run_table(d=4, n=10, routes=("recurrence",), jobs=jobs))
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
                 "d2c144ed8dc7d17998d56260756c78fe0be06abc57ffe442ef51118ea9de4fbc"
             )
@@ -471,7 +480,7 @@ class TestTable:
         # Ctrl-C reaches the whole process group; the pool workers ignore
         # it and the parent ends the sweep.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "grassmult", "table", "--d", "5", "--n", "12",
+            [sys.executable, "-m", "grassmult", "table", "--d", "6", "--n", "14", "--force",
              "--route", "recurrence", "--jobs", "2"],
             env=cli_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             start_new_session=True,
@@ -489,6 +498,41 @@ class TestTable:
             except ProcessLookupError:
                 pass
             proc.wait()
+
+    @pytest.mark.parametrize(
+        "env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+    )
+    def test_closed_stdout_exits_141(self, cli_env, env):
+        # A reader that stops early, as `| head` does, ends the command
+        # with 128 + SIGPIPE and nothing on stderr, stdout buffered or not.
+        cli_env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grassmult", "table", "--d", "4", "--n", "10"],
+            env={**cli_env, **env}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(10) == b"n,d,i,j,ro"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            err = proc.stderr.read()
+            assert b"Traceback" not in err and b"Exception ignored" not in err
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    @pytest.mark.parametrize("d, n, routes", [(4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",))])
+    def test_peak_memory_is_bounded_by_the_output(self, d, n, routes):
+        # The table holds values until an index's rows are complete, then
+        # renders them: its peak stays under 3x the output, where rows held
+        # as texts until the end peaked near 6x.
+        tracemalloc.start()
+        try:
+            pieces = run_table(d, n, routes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len("".join(pieces).encode("utf-8"))
 
     def test_pool_size_clamps(self, monkeypatch, spy):
         started = spy("Pool", multiprocessing)
