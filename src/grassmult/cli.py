@@ -1,12 +1,18 @@
 """Command line for batch multiplicity work: single queries, full tables,
 verification sweeps, and micro-benchmarks.
 
+table --jobs N sweeps one share of the cells in the process and forks a
+worker with os.fork for each other share; a worker streams its cells
+back through its own pipe, and the parent kills and reaps every worker
+before run_table returns or raises.
+
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
 3 requested route not applicable to the pair, 4 n exceeds the size guard
 GUARD = 12 (override with --force), 5 internal error (an exact division
-left a remainder, or a computed value broke an invariant), 6 out of
-memory, 130 interrupted (SIGINT), 141 stdout closed by its reader (as
-by SIGPIPE).
+left a remainder, a computed value broke an invariant, or a --jobs
+worker ended before it sent all its cells), 6 out of memory, 130
+interrupted (SIGINT; workers ignore it), 141 stdout closed by its
+reader (as by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import os
 import random
 import sys
 import time
+from collections.abc import Iterator
 from math import comb
 
 from .arith import InexactDivisionError, _require_int, binom, factorial_superproduct
@@ -147,9 +154,67 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _share(d: int, n: int, cells: range, routes: tuple[str, ...]) -> list:
-    """_sweep over cells as a list, which a pool worker can return."""
-    return list(_sweep(d, n, cells, routes))
+def _fork_share(payload: tuple, children: dict) -> Iterator:
+    """Fork a worker for one share: it ignores SIGINT, sweeps payload
+    (_sweep's arguments), pickles each cell's (ranks, columns) down its own
+    pipe as soon as the cell is made, or the exception that ended its
+    sweep, and exits. In the parent, file the worker's pid with the read
+    end of its pipe in children, for the caller to kill, reap and close,
+    and return the share's cells as they are read."""
+    import pickle
+    import signal
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        children[pid] = open(read, "rb")
+        return _received(pid, children)
+    try:  # the worker never returns into its caller
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(read)
+        with open(write, "wb") as pipe:
+            try:
+                for cell in _sweep(*payload):
+                    pipe.write(pickle.dumps(cell))
+                    pipe.flush()
+            except Exception as exc:
+                pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(0)
+
+
+def _received(pid: int, children: dict) -> Iterator:
+    """The cells of worker pid, unpickled one at a time from its pipe. An
+    exception the worker sent is raised here. A pipe that ends before the
+    share does raises InvariantError with the worker's wait status, once
+    the worker is reaped."""
+    import pickle
+
+    pipe = children[pid]
+    while True:
+        try:
+            cell = pickle.load(pipe)
+        except EOFError:
+            _, status = os.waitpid(pid, 0)
+            children.pop(pid).close()
+            raise InvariantError(
+                f"a --jobs worker ended before it sent all its cells (wait status "
+                f"{status}, exit code {os.waitstatus_to_exitcode(status)})"
+            ) from None
+        if isinstance(cell, Exception):
+            raise cell
+        yield cell
+
+
+def _end_workers(children: dict) -> None:
+    """Kill and reap every worker filed in children, and close its pipe."""
+    import signal
+
+    for pid, pipe in children.items():
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
 
 
 def run_table(
@@ -158,7 +223,9 @@ def run_table(
 ) -> list[str]:
     """The pieces of one CSV or JSON document: for every pair j <= i of
     I(d, n), lexicographic by i then j, one row per requested route that
-    covers the pair, in route order."""
+    covers the pair, in route order. With jobs > 1 the workers are forked
+    with os.fork, which is safe only in a process that runs no other
+    thread, as the CLI does."""
     _check_guard(d, n, force)
     _require_int(jobs, "--jobs")
     if jobs < 1:
@@ -168,36 +235,33 @@ def run_table(
     if len(set(routes)) < len(routes):
         raise ValueError(f"--route names a route twice, got {routes!r}")
     names = [str(i) for i in enumerate_indices(d, n)]
-    workers = min(jobs, len(names), os.cpu_count() or 1)
+    workers = min(jobs, len(names), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     # Cells are dealt round-robin: up-sets shrink along the rank order, so
     # contiguous blocks would leave the first worker most of the pairs.
     payloads = [(d, n, range(w, len(names), workers), routes) for w in range(workers)]
-    # A lone worker reads its share lazily, cell by cell as the sweep yields it.
-    shares = [_sweep(*payloads[0])]
-    if workers > 1:
-        import signal
-        from multiprocessing import Pool
-        # Workers ignore SIGINT; the parent takes it and the block ends them.
-        ignore = (signal.SIGINT, signal.SIG_IGN)
-        with Pool(processes=workers - 1, initializer=signal.signal, initargs=ignore) as pool:
-            # The parent lists share 0 while the pool works the others.
-            rest = pool.starmap_async(_share, payloads[1:])
-            shares = [iter(_share(*payloads[0])), *map(iter, rest.get())]
-    # Each value is filed under its i with its (j, route) template, in
-    # cell order. Every j <= i precedes i in rank, so i's rows are all
-    # filed once cell i is read: they are rendered then, as one chunk.
-    filed: list = [[] for _ in names]
-    chunks, sep = [], "" if fmt == "csv" else ",\n"
-    for c, name in enumerate(names):
-        ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
-        for route, column in zip(routes, columns):
-            template = _row(fmt, n, d, "%s", name, route, "%s")
-            for r, value in zip(ranks, column):
-                if value is not None:
-                    filed[r] += template, value
-        rows, filed[c] = iter(filed[c]), None
-        chunks.append(sep.join(template % (name, value) for template, value in zip(rows, rows)))
-    return _document(chunks, fmt)
+    # The parent sweeps share 0 lazily, cell by cell, as one job does; a
+    # forked worker sweeps each other share and streams it back.
+    shares, children = [_sweep(*payloads[0])], {}
+    try:
+        shares += [_fork_share(payload, children) for payload in payloads[1:]]
+        # Each value is filed under its i with its (j, route) template, in
+        # cell order. Every j <= i precedes i in rank, so i's rows are all
+        # filed once cell i is read: they are rendered then, as one chunk.
+        filed: list = [[] for _ in names]
+        chunks, sep = [], "" if fmt == "csv" else ",\n"
+        for c, name in enumerate(names):
+            ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
+            for route, column in zip(routes, columns):
+                template = _row(fmt, n, d, "%s", name, route, "%s")
+                for r, value in zip(ranks, column):
+                    if value is not None:
+                        filed[r] += template, value
+            rows, filed[c] = iter(filed[c]), None
+            chunks.append(sep.join(template % (name, value) for template, value in zip(rows, rows)))
+        return _document(chunks, fmt)
+    finally:
+        if children:
+            _end_workers(children)
 
 
 def cmd_table(args) -> int:

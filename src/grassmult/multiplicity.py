@@ -325,12 +325,18 @@ def frobenius_coordinates(partition: Sequence[int]) -> FrobeniusCoordinates:
             raise ValueError(f"partition entries must be nonnegative, got {part}")
         if pos and part > parts[pos - 1]:
             raise ValueError("partition entries must be weakly decreasing")
+    return FrobeniusCoordinates(*_frobenius(parts))
+
+
+def _frobenius(parts: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """frobenius_coordinates' (alpha, beta) on a partition known to be
+    valid, performing no validation."""
     rank = sum(1 for pos, part in enumerate(parts, start=1) if part >= pos)
     alpha = tuple(parts[pos - 1] - pos for pos in range(1, rank + 1))
     beta = tuple(
         sum(1 for part in parts if part >= pos) - pos for pos in range(1, rank + 1)
     )
-    return FrobeniusCoordinates(alpha, beta)
+    return alpha, beta
 
 
 def mult_weyman(i: GrassmannIndex) -> int:
@@ -344,10 +350,10 @@ def mult_weyman(i: GrassmannIndex) -> int:
 def _weyman(entries: tuple[int, ...]) -> int:
     """The weyman route's engine: mult_weyman on the entries of i."""
     lam = [entries[pos] - (pos + 1) for pos in range(len(entries))][::-1]
-    coords = frobenius_coordinates(lam)
-    if coords.rank == 0:
+    alpha, beta = _frobenius(lam)
+    if not alpha:
         return 1
-    rows = [[binom(a + b, a) for b in coords.beta] for a in coords.alpha]
+    rows = [[binom(a + b, a) for b in beta] for a in alpha]
     return determinant_bareiss(rows)
 
 

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import importlib
 import inspect
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
+import pickle
 import resource
 import signal
 import stat
@@ -198,21 +198,21 @@ class TestTable:
 
     def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch, spy):
         # Measured with --jobs 1 and 2 before the sweep was dealt by cells.
-        pools = spy("Pool", multiprocessing)
+        forks = spy("_fork_share", cli)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         code, out, _ = run_cli(
             capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
         )
         assert code == 0
-        # The parent works the third share.
-        assert [args["processes"] for args, _ in pools] == [2]
+        # The parent works the first share, and forks a worker for each other.
+        assert len(forks) == 2
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
         )
 
     def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch, spy):
-        # A pool payload is _sweep's arguments, cells by rank: no index
-        # object, map or list is pickled for a worker. A worker returns
+        # A worker's payload is _sweep's arguments, cells by rank: no index
+        # object, map or list is handed to a worker. A worker sends back
         # _sweep's ranks and values, ints and None, and no text. Three
         # workers write the same bytes as one, in either format.
         def holds(value, kinds):
@@ -225,15 +225,15 @@ class TestTable:
                 return [leaf for v in value for leaf in leaves(v)]
             return [value]
 
-        starmaps = spy("starmap_async", multiprocessing.pool.Pool)
+        forks, received = spy("_fork_share", cli), spy("load", pickle)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for fmt in ("csv", "json"):
             everything = dict(d=3, n=7, routes=multiplicity.ROUTES, fmt=fmt)
             assert run_table(**everything, jobs=3) == run_table(**everything)
-        payloads = [p for args, _ in starmaps for p in args["iterable"]]
+        payloads = [args["payload"] for args, _ in forks]
         assert len(payloads) == 4
         assert not any(holds(p, (grassmult.GrassmannIndex, dict, list)) for p in payloads)
-        returned = leaves([result.get() for _, result in starmaps])
+        returned = leaves([cell for _, cell in received])
         assert returned and all(type(leaf) is int or leaf is None for leaf in returned)
 
     def test_recurrence_fills_each_value_once(self, spy):
@@ -285,6 +285,51 @@ class TestTable:
         assert out == ""
         assert err == "internal error: multiplicity must be >= 1, got 0\n"
 
+    def test_worker_death_is_an_internal_error(self, capsys, monkeypatch):
+        # A worker that ends before it sends all its cells ends the table
+        # with exit 5 and its wait status, and leaves no child running.
+        parent, recurrence = os.getpid(), multiplicity._recurrence
+
+        def dies_in_the_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return recurrence(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the table still waits for a dead worker")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiplicity, "_recurrence", dies_in_the_worker)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)  # should the parent miss the worker's end
+        try:
+            result = run_cli(
+                capsys, "table", "--d", "3", "--n", "6", "--route", "recurrence", "--jobs", "2"
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result == (
+            5, "", "internal error: a --jobs worker ended before it sent all its cells "
+            "(wait status 2304, exit code 9)\n",
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["ok", "exact_div-0"])
+    def test_workers_leave_no_process_or_descriptor(self, monkeypatch, broken):
+        # Every worker is reaped and every pipe closed, when the table is
+        # made and when the parent's own share fails first.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if broken:
+            monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(multiplicity.InvariantError) if broken else contextlib.nullcontext():
+            run_table(3, 7, multiplicity.ROUTES, jobs=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
     def test_scope_tested_without_a_message(self, spy):
         # Each route's scope is read once per cell, as its floor, and never
         # per pair. The product and weyman engines take entry tuples: no
@@ -304,6 +349,13 @@ class TestTable:
         walks.clear()
         run_table(d=3, n=7, routes=("weyman",))
         assert [len(out) for _, out in walks] == [35]
+
+    def test_weyman_sweep_revalidates_nothing(self, spy):
+        # The weyman engine builds each partition itself, so it reads its
+        # Frobenius coordinates unchecked: no entry passes the int rule.
+        checks = spy("_require_int", multiplicity)
+        run_table(3, 7, ("weyman",))
+        assert checks == []
 
     def test_one_shift_vector_per_pair(self, spy):
         # The walk builds each pair's shift vector once, alongside its
@@ -521,30 +573,36 @@ class TestTable:
             proc.wait()
             proc.stderr.close()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("d, n, routes", [(4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",))])
-    def test_peak_memory_is_bounded_by_the_output(self, d, n, routes):
+    def test_peak_memory_is_bounded_by_the_output(self, monkeypatch, d, n, routes, jobs):
         # The table holds values until an index's rows are complete, then
         # renders them: its peak stays under 3x the output, where rows held
-        # as texts until the end peaked near 6x.
+        # as texts until the end peaked near 6x. A worker's cells reach the
+        # parent one at a time, as its own share does.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         tracemalloc.start()
         try:
-            pieces = run_table(d, n, routes)
+            pieces = run_table(d, n, routes, jobs=jobs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * len("".join(pieces).encode("utf-8"))
 
     def test_pool_size_clamps(self, monkeypatch, spy):
-        started = spy("Pool", multiprocessing)
-        # The parent is one of the workers, so a pool has one process fewer.
-        for d, n, jobs, cpus, pools in [
-            (2, 5, 4, 2, [1]),  # at most one worker per CPU
-            (1, 2, 3, 8, [1]),  # at most one worker per cell
-            (2, 5, 1, 8, []),  # one job runs in process, with no pool
+        started = spy("_fork_share", cli)
+        # The parent is one of the workers, so it forks one process fewer.
+        for d, n, jobs, cpus, fork, forks in [
+            (2, 5, 4, 2, True, 1),  # at most one worker per CPU
+            (1, 2, 3, 8, True, 1),  # at most one worker per cell
+            (2, 5, 1, 8, True, 0),  # one job runs in process, with no fork
+            (2, 5, 4, 8, False, 0),  # so does any job count where os has no fork
         ]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            if not fork:
+                monkeypatch.delattr(os, "fork")
             assert run_table(d, n, jobs=jobs) == run_table(d, n)
-            assert [args["processes"] for args, _ in started] == pools
+            assert len(started) == forks
             started.clear()
 
     def test_json_table(self, capsys):
@@ -825,15 +883,17 @@ def test_single_pair_routes_take_the_pair_only():
 
 
 def test_import_set(cli_env):
-    # The modules a compute process and a text verify process load. -S skips
-    # site, so .pth files of a given installation cannot load these first
-    # and hide an import.
+    # The modules a compute process, a text verify process and a table
+    # process with a forked worker load. -S skips site, so .pth files of a
+    # given installation cannot load these first and hide an import.
     for argv in (
         ["compute", "--n", "1", "--i", "1", "--j", "1"],
         ["verify", "--d", "1", "--n", "2"],
+        ["table", "--d", "2", "--n", "4", "--jobs", "2"],
     ):
         child = (
-            "import sys\n"
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
             "from grassmult.cli import main\n"
             f"main({argv!r})\n"
             "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json')\n"
