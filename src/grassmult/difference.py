@@ -9,17 +9,27 @@ engine, _half_minors: column q of the matrix depends on (value q, shift q)
 only, so by Laplace expansion along a column split the value is one dot
 product of the signed minor vectors of the two column halves, each grown
 one Laplace step per column and memoized by column prefix. The box checks
-have it as their one evaluator, one row of values per left minor vector;
-the determinant table runs it over the halves of its pairs. The checks
-certify the identities on concrete boxes, exactly, and report the first
-counterexample when one exists.
+have it as their one evaluator; the determinant table runs it over the
+halves of its pairs.
+
+The box checks run on packed rows. Each left-half value tuple gets one
+integer that holds its values over the right half's sub-box, one signed
+slot of W = 64 m bits per right-half point, with m set per check from an
+exact integer bound on every value and residue. A row is the sum of the
+left minors times the right minor columns packed once, a step down in a
+right-half direction is a shift by whole slots, and one in a left-half
+direction is an earlier row, so a check forms one residue row per inner
+row with a few big-integer shifts and adds. The row passes when its
+residue is zero on a mask of the inner slots. Only a failing row is
+decoded. The checks certify the identities on concrete boxes, exactly,
+and report the first counterexample when one exists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations, product
-from operator import add
+from operator import mul
 
 from .arith import _Frozen, _require_int, _set_field, binom
 from .matrices import _require_shifts, build_binomial_matrix, determinant_bareiss
@@ -154,46 +164,86 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -
     return out
 
 
-def _box_values(shifts: tuple[int, ...], lo: int, hi: int, memos: tuple[dict, dict]) -> list[int]:
-    """Values of the family on [lo, hi]^d, one flat list in lexicographic
-    order of the points, by the half-minor memos of the left and the right
-    half: each left minor vector's nonzero entries times the right minors."""
+def _box_minors(shifts: tuple[int, ...], lo: int, hi: int, memos: tuple[dict, dict]) -> list[list]:
+    """The half-minor vectors of the left and the right half of the family
+    over [lo, hi]^d, each half's value tuples in lexicographic order: the
+    value at a point is the dot product of its two halves' vectors."""
     d = len(shifts)
     span = range(lo, hi + 1)
     h, *plans = _extension_plan(d)
-    left, right = (
+    return [
         [_half_minors(memo, u, part, plan, d) for u in product(span, repeat=len(part))]
         for part, plan, memo in zip((shifts[:h], shifts[h:]), plans, memos)
-    )
-    columns = list(zip(*right))
-    zero = [0] * len(right)
-    values = []
-    for a in left:
-        row = zero
-        for a_k, column in zip(a, columns):
-            if a_k:
-                term = map(a_k.__mul__, column)
-                row = term if row is zero else map(add, row, term)
-        values += row
-    return values
+    ]
 
 
-def _inner_box(d: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """Strides of the flat layout over [lo - 1, hi]^d, and the flat index
-    of every point of [lo, hi]^d in lexicographic order. The neighbour one
-    step down in direction q sits strides[q - 1] places earlier."""
+def _packed_rows(d: int, boxes: list) -> tuple[int, list[list[int]]]:
+    """The row kernel: a slot width W = 64 m bits and, for each box of
+    boxes, a list of (left, right) half-minor vectors of one box layout,
+    its packed rows. P_k packs column k of the right vectors, entry b in
+    the signed slot at bit W b, and row a is the sum of a_k P_k over the
+    nonzero entries of left vector a, so slot b of row a holds the value at
+    the point (a, b). Sums and shifts of rows act slot by slot while no
+    slot leaves (-2**(W-1), 2**(W-1)). m is the least whose slots hold
+    every entry of a P_k and (2d + 1) V, where the integer V = sum over k
+    of max|a_k| max|P_k| bounds every value: a residue is at most 2d V in
+    the difference check and 3 V in the shift check."""
+    bound = 0
+    for halves in boxes:
+        left_top, right_top = ([max(map(abs, column)) for column in zip(*half)] for half in halves)
+        bound = max(bound, *right_top, (2 * d + 1) * sum(map(mul, left_top, right_top)))
+    width = 64 * (bound.bit_length() // 64 + 1)
+    rows = []
+    for left, right in boxes:
+        packed = [
+            sum(entry << width * b for b, entry in enumerate(column) if entry)
+            for column in zip(*right)
+        ]
+        rows.append([sum(a_k * p for a_k, p in zip(a, packed) if a_k) for a in left])
+    return width, rows
+
+
+def _below(d: int, side: int, width: int, q: int):
+    """below(rows, a): the packed row one step down in direction q from row
+    a of rows, a shift by the direction's slot stride for a right-half
+    direction and the row one row stride earlier for a left-half one."""
+    h = d // 2
+    if q > h:
+        shift = width * side ** (d - q)
+        return lambda rows, a: rows[a] << shift
+    stride = side ** (h - q)
+    return lambda rows, a: rows[a - stride]
+
+
+def _scan(d: int, lo: int, hi: int, width: int, sides) -> CheckReport:
+    """Test lhs == rhs on every point of [lo, hi]^d, where sides(a) gives
+    the packed lhs and rhs rows of the inner row a. Adding the offset
+    2**(W-1) to every slot of the residue lhs - rhs makes each slot
+    nonnegative with no carry, and xoring it back out leaves each slot's
+    two's complement bits; the row passes when these are zero on the mask
+    of the inner slots. Only a failing row is decoded, at its lowest
+    failing slot, the first failing point in lexicographic order."""
     side = hi - lo + 2
-    strides = [side ** (d - 1 - q) for q in range(d)]
-    inner = [0]
-    for stride in strides:
-        inner = [i + k * stride for i in inner for k in range(1, side)]
-    return strides, inner
-
-
-def _point(index: int, strides: list[int], lo: int, hi: int) -> tuple[int, ...]:
-    """Lattice point at a flat index of the layout over [lo - 1, hi]^d."""
-    side = hi - lo + 2
-    return tuple(index // stride % side + lo - 1 for stride in strides)
+    h = d // 2
+    slot, half = (1 << width) - 1, 1 << width - 1
+    offset = ((1 << width * side ** (d - h)) - 1) // slot * half
+    mask = slot  # times slots 1 .. side - 1 along each right-half direction
+    for p in range(d - h):
+        mask *= sum(1 << width * side**p * c for c in range(1, side))
+    inner = [0]  # the inner rows, in lexicographic order
+    for _ in range(h):
+        inner = [a * side + c for a in inner for c in range(1, side)]
+    for a in inner:
+        lhs, rhs = sides(a)
+        fail = ((lhs - rhs + offset) ^ offset) & mask
+        if fail:
+            b = ((fail & -fail).bit_length() - 1) // width
+            k = a * side ** (d - h) + b
+            witness = tuple(k // side**p % side + lo - 1 for p in reversed(range(d)))
+            checked = 1 + sum((w - lo) * (side - 1) ** (d - 1 - q) for q, w in enumerate(witness))
+            lhs, rhs = (((x + offset) >> width * b & slot) - half for x in (lhs, rhs))
+            return CheckReport(False, checked, witness=witness, lhs=lhs, rhs=rhs)
+    return CheckReport(True, (side - 1) ** d)
 
 
 def check_difference_eq(shifts: Sequence[int], box) -> CheckReport:
@@ -202,16 +252,11 @@ def check_difference_eq(shifts: Sequence[int], box) -> CheckReport:
     shifts = _require_shifts(shifts)
     d = len(shifts)
     lo, hi = _require_box(box, d)
-    values = _box_values(shifts, lo - 1, hi, ({}, {}))
-    strides, inner = _inner_box(d, lo, hi)
-    for checked, k in enumerate(inner, start=1):
-        total = d * values[k]
-        for stride in strides:
-            total -= values[k - stride]
-        if total != 0:
-            witness = _point(k, strides, lo, hi)
-            return CheckReport(False, checked, witness=witness, lhs=total, rhs=0)
-    return CheckReport(True, len(inner))
+    width, (rows,) = _packed_rows(d, [_box_minors(shifts, lo - 1, hi, ({}, {}))])
+    steps = [_below(d, hi - lo + 2, width, q) for q in range(1, d + 1)]
+    return _scan(
+        d, lo, hi, width, lambda a: (d * rows[a] - sum(step(rows, a) for step in steps), 0)
+    )
 
 
 def check_shift_identity(shifts: Sequence[int], q: int, box) -> CheckReport:
@@ -224,14 +269,8 @@ def check_shift_identity(shifts: Sequence[int], q: int, box) -> CheckReport:
     lo, hi = _require_box(box, d)
     raised = shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:]
     memos = {}, {}
-    base = _box_values(shifts, lo - 1, hi, memos)
-    bumped = _box_values(raised, lo - 1, hi, memos)
-    strides, inner = _inner_box(d, lo, hi)
-    step = strides[q - 1]
-    for checked, k in enumerate(inner, start=1):
-        lhs = base[k] - base[k - step]
-        rhs = -bumped[k - step]
-        if lhs != rhs:
-            witness = _point(k, strides, lo, hi)
-            return CheckReport(False, checked, witness=witness, lhs=lhs, rhs=rhs)
-    return CheckReport(True, len(inner))
+    width, (base, bumped) = _packed_rows(
+        d, [_box_minors(s, lo - 1, hi, memos) for s in (shifts, raised)]
+    )
+    step = _below(d, hi - lo + 2, width, q)
+    return _scan(d, lo, hi, width, lambda a: (base[a] - step(base, a), -step(bumped, a)))

@@ -30,12 +30,16 @@ COFACTOR_MAX_ORDER = 10
 
 
 def _require_square(rows: Sequence[Sequence[int]]) -> int:
+    """The one check of a matrix: square, of order at least 1, and every
+    entry an integer. Returns the order."""
     order = len(rows)
     if order == 0:
         raise ValueError("matrix order must be >= 1")
     for r, row in enumerate(rows):
         if len(row) != order:
             raise ValueError(f"row {r} has {len(row)} entries, expected {order}")
+        for pos, entry in enumerate(row, start=1):
+            _require_int(entry, f"row {r} entry", pos)
     return order
 
 
@@ -152,4 +156,6 @@ def vandermonde(values: Sequence[int]) -> int:
     """Product of pairwise differences values[p] - values[q] over p > q,
     computed directly as a product (never via a determinant); 1 on empty
     input, 0 when two entries coincide."""
+    for pos, v in enumerate(values, start=1):
+        _require_int(v, "value", pos)
     return prod(p - q for q, p in combinations(values, 2))

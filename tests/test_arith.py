@@ -17,6 +17,7 @@ from grassmult import (
     validate,
 )
 from grassmult.arith import InexactDivisionError, binom, exact_div, factorial_superproduct
+from grassmult.matrices import determinant_bareiss, determinant_cofactor, vandermonde
 
 
 class TestExactDiv:
@@ -125,6 +126,15 @@ NON_INT_CALLS = [
     (enumerate_indices, (True, 3), "d True is not an integer"),
     (factorial_superproduct, (True,), "d True is not an integer"),
     (factorial_superproduct, (3.0,), "d 3.0 is not an integer"),
+    # Rows count from 0, as in the row-length error, and entries from 1.
+    (determinant_bareiss, ([[2, 3, 1], [4, 1.5, 2], [1, 2, 3]],), "row 1 entry 1.5 at position 2"),
+    (determinant_bareiss, ([[1.5]],), "row 0 entry 1.5 at position 1"),
+    (determinant_bareiss, ([["a"]],), "row 0 entry 'a' at position 1"),
+    (determinant_bareiss, ([[1, 0], [0, True]],), "row 1 entry True at position 2"),
+    (determinant_cofactor, ([[1.5]],), "row 0 entry 1.5 at position 1"),
+    (determinant_cofactor, ([[False, 1], [1, 0]],), "row 0 entry False at position 1"),
+    (vandermonde, ([1.5, 2],), "value 1.5 at position 1"),
+    (vandermonde, ([1, True],), "value True at position 2"),
 ]
 
 

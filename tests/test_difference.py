@@ -1,19 +1,21 @@
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmult import difference
+from grassmult import difference, matrices
 from grassmult.arith import binom
 from grassmult.difference import (
     MAX_BOX_POINTS,
     CheckReport,
-    _box_values,
+    _box_minors,
     _extension_plan,
     _half_minors,
+    _packed_rows,
     check_difference_eq,
     check_shift_identity,
     delta_eval,
@@ -80,14 +82,19 @@ class TestDifferenceEq:
         assert check_difference_eq((2,), (-5, 5)).ok
 
     def test_detects_perturbation(self, monkeypatch):
-        real = difference._box_values
+        real = difference._box_minors
 
         def perturbed(shifts, lo, hi, memos):
-            points = product(range(lo, hi + 1), repeat=len(shifts))
-            values = real(shifts, lo, hi, memos)
-            return [v + 1 if t == (1, 2) else v for v, t in zip(values, points)]
+            # One more minor in each half, 1 at the left value 1 and at the
+            # right value 2 and 0 elsewhere, adds 1 to the value at (1, 2).
+            span = range(lo, hi + 1)
+            left, right = real(shifts, lo, hi, memos)
+            return (
+                [a + [int(u == 1)] for a, u in zip(left, span)],
+                [b + [int(w == 2)] for b, w in zip(right, span)],
+            )
 
-        monkeypatch.setattr(difference, "_box_values", perturbed)
+        monkeypatch.setattr(difference, "_box_minors", perturbed)
         report = check_difference_eq((0, 0), (-3, 3))
         assert not report.ok
         assert report.witness == (1, 2)
@@ -115,13 +122,16 @@ class TestShiftIdentity:
         assert report.points_checked == 49
 
     def test_detects_perturbation(self, monkeypatch):
-        real = difference._box_values
+        real = difference._box_minors
 
         def perturbed(shifts, lo, hi, memos):
-            values = real(shifts, lo, hi, memos)
-            return [v + 1 for v in values] if sum(shifts) == 1 else values
+            # One more minor of 1 in both halves adds 1 to every value.
+            left, right = real(shifts, lo, hi, memos)
+            if sum(shifts) == 1:
+                left, right = [a + [1] for a in left], [b + [1] for b in right]
+            return left, right
 
-        monkeypatch.setattr(difference, "_box_values", perturbed)
+        monkeypatch.setattr(difference, "_box_minors", perturbed)
         report = check_shift_identity((0, 0), 1, (-2, 2))
         assert not report.ok
         assert report.witness == (-2, -2)
@@ -135,6 +145,18 @@ class TestShiftIdentity:
     def test_holds_for_random_shifts(self, shifts, data):
         q = data.draw(st.integers(1, len(shifts)), label="q")
         assert check_shift_identity(shifts, q, (-2, 3)).ok
+
+
+def slots(row: int, width: int, count: int) -> list[int]:
+    """The count signed base-2**width digits of row, lowest first; nothing
+    may be left above them."""
+    digits = []
+    for _ in range(count):
+        digit = (row + (1 << width - 1)) % (1 << width) - (1 << width - 1)
+        digits.append(digit)
+        row = (row - digit) >> width
+    assert row == 0
+    return digits
 
 
 class TestBoxValues:
@@ -155,19 +177,28 @@ class TestBoxValues:
             ((0, 0, 0, 0, 0), -2, 1),
             ((1, 0, 2, 0, 3), -3, 0),
             ((0, 6, 1, 5, 2), -2, 1),
+            ((0, 0, 0, 0), 10**12, 10**12 + 2),
+            ((1, 0, 2, 0), 10**12, 10**12 + 2),
+            ((0, 1, 0), -(10**20), -(10**20) + 2),
         ],
     )
     def test_laplace_equals_pointwise_determinant(self, shifts, lo, hi):
-        span = range(lo, hi + 1)
-        expected = [eval_poly(shifts, t) for t in product(span, repeat=len(shifts))]
-        assert _box_values(shifts, lo, hi, ({}, {})) == expected
+        # Row a's slots, decoded here digit by digit, are the values at the
+        # points (a, b) in lexicographic order; the far boxes need slots of
+        # more than one 64-bit word, the others one.
+        d, span = len(shifts), range(lo, hi + 1)
+        expected = [eval_poly(shifts, t) for t in product(span, repeat=d)]
+        width, (rows,) = _packed_rows(d, [_box_minors(shifts, lo, hi, ({}, {}))])
+        assert width > 64 if abs(lo) > 10**6 else width == 64
+        count = len(span) ** (d - d // 2)
+        assert [v for row in rows for v in slots(row, width, count)] == expected
 
     def test_minor_count(self, op_calls, spy):
         # No determinant: one memo entry per column (v, s) and per column
         # prefix of a half, 2 * 13 + 13 + 13**2 = 208 per half of [-6, 6]^4.
         # The shift check's boxes share their memos, so raising shift 3 adds
         # 13 + 13 + 13**2 entries to the right half only.
-        boxes = spy("_box_values", difference)
+        boxes = spy("_box_minors", difference)
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
         assert op_calls["determinant_bareiss"] == []
@@ -195,6 +226,59 @@ class TestBoxValues:
             with pytest.raises(ValueError, match="MAX_BOX_POINTS"):
                 check_shift_identity((0,) * d, 1, box)
         assert all(calls == [] for calls in op_calls.values())
+
+
+def wrong_binom(n: int, k: int) -> int:
+    """binom off by one at k = 0 for n = 2 mod 5; scripts/box_reports.py
+    patches in the same one."""
+    return binom(n, k) + (k == 0 and n % 5 == 2)
+
+
+def pointwise_report(shifts: tuple, q: int | None, box: tuple[int, int]) -> CheckReport:
+    """The report of the difference check (q None) or of the shift check in
+    direction q, from eval_poly at single points: the first inner point in
+    lexicographic order where the two sides differ."""
+    d, (lo, hi) = len(shifts), box
+    value = cache(eval_poly)
+
+    def down(t, p):
+        return t[: p - 1] + (t[p - 1] - 1,) + t[p:]
+
+    for checked, t in enumerate(product(range(lo, hi + 1), repeat=d), start=1):
+        if q is None:
+            lhs = sum(value(shifts, t) - value(shifts, down(t, p)) for p in range(1, d + 1))
+            rhs = 0
+        else:
+            lhs = value(shifts, t) - value(shifts, down(t, q))
+            rhs = -value(shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:], down(t, q))
+        if lhs != rhs:
+            return CheckReport(False, checked, witness=t, lhs=lhs, rhs=rhs)
+    return CheckReport(True, checked)
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize(
+        "shifts, box",
+        [
+            ((0,), (-5, 6)),
+            ((0, 1), (-4, 4)),
+            ((1, 0, 0), (-3, 3)),
+            ((0, 2, 1, 0), (-2, 2)),
+            ((1, 0, 2, 0, 1), (1, 2)),
+            ((0, 1, 0), (10**12 + 1, 10**12 + 3)),
+            ((1, 0, 0, 0), (-(10**20) - 3, -(10**20) - 1)),
+        ],
+    )
+    def test_reports_equal_the_pointwise_reference(self, monkeypatch, shifts, box):
+        # Under a wrong binomial the identities fail; every report, witness,
+        # side values and count included, must still be the pointwise one.
+        monkeypatch.setattr(difference, "binom", wrong_binom)
+        monkeypatch.setattr(matrices, "binom", wrong_binom)
+        reports = [check_difference_eq(shifts, box)]
+        reports += [check_shift_identity(shifts, q, box) for q in range(1, len(shifts) + 1)]
+        expected = [pointwise_report(shifts, q, box) for q in [None, *range(1, len(shifts) + 1)]]
+        assert reports == expected
+        assert not all(report.ok for report in reports)
 
 
 class TestHalfMinors:
