@@ -6,13 +6,13 @@ worker with os.fork for each other share; a worker streams its cells
 back through its own pipe, and the parent kills and reaps every worker
 before run_table returns or raises.
 
-Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input,
-3 requested route not applicable to the pair, 4 n exceeds the size guard
-GUARD = 12 (override with --force), 5 internal error (an exact division
-left a remainder, a computed value broke an invariant, or a --jobs
-worker ended before it sent all its cells), 6 out of memory, 130
-interrupted (SIGINT; workers ignore it), 141 stdout closed by its
-reader (as by SIGPIPE).
+Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input
+or output that cannot be written, 3 requested route not applicable to
+the pair, 4 n exceeds the size guard GUARD = 12 (override with --force),
+5 internal error (an exact division left a remainder, a computed value
+broke an invariant, or a --jobs worker ended before it sent all its
+cells), 6 out of memory, 130 interrupted (SIGINT; workers ignore it),
+141 stdout closed by its reader (as by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ def _parse_entries(text: str) -> tuple[int, ...]:
 
 
 def _normalize_routes(route_args) -> tuple[str, ...] | None:
-    if not route_args:
-        return None
-    chosen = set(ROUTES) if "all" in route_args else set(route_args)
-    return tuple(r for r in ROUTES if r in chosen)
+    """The routes that --route options name, each once in ROUTES order, or
+    None when no --route is given."""
+    if route_args:
+        return tuple(r for r in ROUTES if r in route_args or "all" in route_args)
+    return None
 
 
 def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int | str) -> str:
@@ -94,32 +95,40 @@ def _document(chunks: list[str], fmt: str) -> list[str]:
 
 def _emit(pieces: list[str], out_path: str | None) -> None:
     """Write pieces to stdout, or to out_path through a temp file beside it
-    that is moved into place, so the path never holds a partial write."""
-    if not out_path:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
-        return
-    tmp = f"{out_path}.{os.getpid()}.tmp"
+    that is moved into place, so the path never holds a partial write. A
+    failed write raises ValueError, except that a closed stdout raises
+    BrokenPipeError."""
     try:
-        if os.path.exists(out_path) and not os.path.isfile(out_path):
+        if not out_path:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        elif os.path.exists(out_path) and not os.path.isfile(out_path):
             # A device or a pipe is written in place; replacing it would remove it.
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(pieces)
-            return
-        fh = open(tmp, "x", encoding="utf-8", newline="")
-        try:
-            with fh:
-                fh.writelines(pieces)
-            os.replace(tmp, out_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        else:
+            tmp = f"{out_path}.{os.getpid()}.tmp"
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+            try:
+                with fh:
+                    fh.writelines(pieces)
+                os.replace(tmp, out_path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        if not out_path:
+            # The flush at shutdown goes to devnull, so no second error follows.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise
+        raise ValueError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _check_guard(d: int, n: int, force: bool) -> None:
     _require_dims(d, n)
+    if not isinstance(force, bool):
+        raise ValueError(f"--force must be True or False, got {force!r}")
     if n > GUARD and not force:
         raise GuardExceededError(
             f"n={n} exceeds the size guard {GUARD}; pass --force to run anyway"
@@ -232,8 +241,8 @@ def run_table(
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if fmt not in ("csv", "json"):
         raise ValueError(f"--format must be csv or json, got {fmt!r}")
-    if len(set(routes)) < len(routes):
-        raise ValueError(f"--route names a route twice, got {routes!r}")
+    if not routes or not all(r in ROUTES for r in routes) or len(set(routes)) < len(routes):
+        raise ValueError(f"--route needs one or more routes, none unknown or repeated, got {routes!r}")
     names = [str(i) for i in enumerate_indices(d, n)]
     workers = min(jobs, len(names), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     # Cells are dealt round-robin: up-sets shrink along the rank order, so
@@ -414,16 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def route_option(command, help_text):
+        command.add_argument("--route", action="append", choices=ROUTES + ("all",), help=help_text)
+
     compute = sub.add_parser("compute", help="multiplicity of one cell/variety pair")
     compute.add_argument("--n", type=int, required=True, help="ambient bound n")
     compute.add_argument("--i", required=True, help="variety index, comma separated (e.g. 2,4)")
     compute.add_argument("--j", required=True, help="cell index, comma separated")
-    compute.add_argument(
-        "--route",
-        action="append",
-        choices=ROUTES + ("all",),
-        help="route to evaluate (repeatable); default: every route applicable to the pair",
-    )
+    route_option(compute, "route to evaluate (repeatable); default: every route applicable to the pair")
     compute.add_argument("--format", choices=("csv", "json"), default="csv")
     compute.add_argument("--out", help="write to this path instead of stdout")
     compute.set_defaults(func=cmd_compute)
@@ -435,11 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--force", action="store_true", help=f"run even when n exceeds {GUARD}")
 
     table = sub.add_parser("table", parents=[sweep], help="all pairs j <= i for one (d, n)")
-    table.add_argument(
-        "--route",
-        action="append",
-        choices=ROUTES + ("all",),
-        help="repeatable; default: determinant. Pair/route combinations a route does not cover are omitted",
+    route_option(
+        table,
+        "repeatable; default: determinant. Pair/route combinations a route does not cover are omitted",
     )
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
@@ -451,9 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", parents=[sweep], help="wall time per route over the full table")
-    bench.add_argument(
-        "--route", action="append", choices=ROUTES + ("all",), help="repeatable; default: all routes"
-    )
+    route_option(bench, "repeatable; default: all routes")
     bench.add_argument("--reps", type=int, default=1, help="repetitions of the full sweep")
     bench.set_defaults(func=cmd_bench)
 
@@ -464,26 +467,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RouteInapplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (InexactDivisionError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return {GuardExceededError: 4, RouteInapplicableError: 3}.get(type(exc), 2)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 6
     except KeyboardInterrupt:
         return 130
-    except BrokenPipeError:
-        # The reader closed stdout: the flush at shutdown goes to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout
         return 141
 
 

@@ -32,7 +32,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .arith import _Frozen, _require_int, _set_field, binom
-from .matrices import _require_shifts, build_binomial_matrix, determinant_bareiss
+from .matrices import _bareiss, _require_shifts, build_binomial_matrix
 
 __all__ = [
     "CheckReport",
@@ -74,7 +74,7 @@ def eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
     """
     matrix = build_binomial_matrix(point, shifts)
     sign = -1 if sum(shifts) % 2 else 1
-    return sign * determinant_bareiss(matrix)
+    return sign * _bareiss(matrix)
 
 
 def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:

@@ -5,7 +5,9 @@ A matrix is a plain list of row lists of ints. determinant_bareiss is the
 production routine (fraction-free elimination; intermediate divisions are
 always exact and entry growth stays polynomial); determinant_cofactor is
 an independent cross-check kept deliberately naive, and is guarded to
-small orders because its cost is factorial.
+small orders because its cost is factorial. Both check a matrix that comes
+from outside; eval_poly and the weyman route run the elimination,
+_bareiss, unchecked on the int matrices they build themselves.
 """
 
 from __future__ import annotations
@@ -52,8 +54,15 @@ def determinant_bareiss(rows: Sequence[Sequence[int]]) -> int:
     pivot, which the Bareiss identity guarantees to be exact; a remainder
     would mean corrupted arithmetic and raises InexactDivisionError.
     """
-    order = _require_square(rows)
-    a = [list(row) for row in rows]
+    _require_square(rows)
+    return _bareiss([list(row) for row in rows])
+
+
+def _bareiss(a: Matrix) -> int:
+    """determinant_bareiss' elimination, performing no validation: a is a
+    square int matrix of order >= 1 that the caller has just built, and
+    it is overwritten."""
+    order = len(a)
     sign = 1
     prev = 1
     for k in range(order - 1):

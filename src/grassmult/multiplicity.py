@@ -45,7 +45,7 @@ from operator import le, mul
 from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
 from .difference import _extension_plan, _half_minors, eval_poly
 from .indices import GrassmannIndex, leq
-from .matrices import _require_columns, determinant_bareiss, vandermonde
+from .matrices import _bareiss, _require_columns, vandermonde
 
 __all__ = [
     "ROUTE_DETERMINANT",
@@ -306,7 +306,9 @@ def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 def _product(entries: tuple[int, ...]) -> int:
     """The product route's engine: mult_product on the entries of i for a
-    covered pair, performing no validation."""
+    covered pair, which checks no scope. vandermonde and
+    factorial_superproduct check their arguments again, d + 1 tests per
+    pair, as they do for any caller."""
     return exact_div(vandermonde(entries), factorial_superproduct(len(entries)))
 
 
@@ -354,7 +356,7 @@ def _weyman(entries: tuple[int, ...]) -> int:
     if not alpha:
         return 1
     rows = [[binom(a + b, a) for b in beta] for a in alpha]
-    return determinant_bareiss(rows)
+    return _bareiss(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +424,10 @@ def _sweep(
     holds None before that rank and the route's value from it on, and no
     pair's scope is tested. A cell that no route covers is not walked and
     yields no rank. Every i is >= j by construction, so no route checks
-    containment per pair and none builds an index. Each column is checked once as it is handed out: its
-    least value must be a multiplicity, or InvariantError is raised.
+    containment per pair and none builds an index. Each column is checked
+    once as it is handed out: its least value must be a multiplicity, or
+    InvariantError is raised. routes names routes of ROUTES, each once, as
+    every caller has checked: no name is checked here.
 
     One lattice of I(d, n) and one rank map of its tuples are built per
     call, for every route. The determinant and the sum see a pair only
@@ -464,11 +468,9 @@ def _sweep(
             elif route == ROUTE_SUM:
                 memo: dict = {}
                 column = _by_class(sum_values, walk, lambda t, s: _vandermonde_sum(memo, s, t))
-            elif route in (ROUTE_PRODUCT, ROUTE_WEYMAN):
+            else:  # product or weyman
                 engine = _product if route == ROUTE_PRODUCT else _weyman
                 column = [None] * skip + [engine(t) for t in ups[skip:]]
-            else:
-                raise ValueError(f"unknown route {route!r}")
             _require_multiplicity(min(column[skip:], default=1))
             columns.append(column)
         yield ranks, columns

@@ -10,6 +10,7 @@ import json
 import os
 import pickle
 import resource
+import shlex
 import signal
 import stat
 import subprocess
@@ -256,7 +257,7 @@ class TestTable:
             counts.append((len(op_calls["binom"]), [len(memo) for memo in memos(halves)]))
             op_calls["binom"].clear()
             halves.clear()
-        assert op_calls["determinant_bareiss"] == []
+        assert op_calls["_bareiss"] == []
         assert counts == [(66, [24, 44])] * 2
 
     def test_no_containment_check_per_pair(self, op_calls):
@@ -330,6 +331,28 @@ class TestTable:
             os.waitpid(-1, os.WNOHANG)
         assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
+    def test_worker_exception_is_raised_in_the_parent(self, capsys, monkeypatch):
+        # An exception that ends a forked worker's sweep comes down its pipe
+        # and is raised in the parent, which still reaps the worker and
+        # closes its pipe. Only the worker's cells break, so the parent's
+        # own share cannot fail first.
+        parent, recurrence = os.getpid(), multiplicity._recurrence
+
+        def breaks_in_the_worker(*args):
+            if os.getpid() != parent:
+                raise multiplicity.InvariantError("broken in the worker")
+            return recurrence(*args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiplicity, "_recurrence", breaks_in_the_worker)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        assert run_cli(
+            capsys, "table", "--d", "3", "--n", "6", "--route", "recurrence", "--jobs", "2"
+        ) == (5, "", "internal error: broken in the worker\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
     def test_scope_tested_without_a_message(self, spy):
         # Each route's scope is read once per cell, as its floor, and never
         # per pair. The product and weyman engines take entry tuples: no
@@ -351,10 +374,12 @@ class TestTable:
         assert [len(out) for _, out in walks] == [35]
 
     def test_weyman_sweep_revalidates_nothing(self, spy):
-        # The weyman engine builds each partition itself, so it reads its
-        # Frobenius coordinates unchecked: no entry passes the int rule.
-        checks = spy("_require_int", multiplicity)
-        run_table(3, 7, ("weyman",))
+        # The weyman engine builds each partition and each matrix itself, so
+        # it reads its Frobenius coordinates and eliminates its matrices
+        # unchecked: no entry passes the int rule, at any module binding.
+        checks = spy("_require_int")
+        for _ in multiplicity._sweep(5, 12, range(792), ("weyman",)):
+            pass
         assert checks == []
 
     def test_one_shift_vector_per_pair(self, spy):
@@ -413,8 +438,8 @@ class TestTable:
         )
 
     def test_table_rec_par_digest(self, monkeypatch):
-        # The table_rec_par gate of the layered benchmark, run serially
-        # and through a pool of two workers.
+        # The table_rec_par gate of the layered benchmark, run in one
+        # process and with one forked worker beside the parent.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for jobs in (1, 2):
             out = "".join(run_table(d=4, n=10, routes=("recurrence",), jobs=jobs))
@@ -431,16 +456,28 @@ class TestTable:
         [
             ({"jobs": 2.0}, "--jobs"), ({"jobs": True}, "--jobs"), ({"fmt": "CSV"}, "--format"),
             ({"routes": ("determinant",) * 2}, "--route"), ({"routes": ("nope",)}, "unknown"),
+            ({"force": "no", "n": 13}, "--force"),
         ],
-        ids=["float-jobs", "bool-jobs", "upper-format", "repeated-route", "unknown-route"],
+        ids=["float-jobs", "bool-jobs", "upper-format", "repeated-route", "unknown-route", "str-force"],
     )
     def test_rejects_coerced_arguments(self, option, match):
         # A float or bool worker count is refused, never coerced, and so is
         # any format but csv or json, which would otherwise render as json.
-        # A repeated route would write each of its rows twice, and the
-        # sweep refuses a route it does not know.
+        # A repeated route would write each of its rows twice. A force that
+        # is not a bool, however truthy, would pass the size guard.
         with pytest.raises(ValueError, match=match):
-            run_table(d=1, n=3, **option)
+            run_table(**{"d": 1, "n": 3, **option})
+
+    @pytest.mark.parametrize("routes", [(), ("nope",), ("sum", "sum"), ("determinant", "nope")])
+    def test_route_list_refused_before_any_work(self, monkeypatch, spy, routes):
+        # The route list is checked once, before the lattice is built or
+        # any worker is forked. An empty list would make a table of its
+        # header alone.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        lattices, forks = spy("_lattice", multiplicity), spy("_fork_share", cli)
+        with pytest.raises(ValueError, match="^--route .*unknown"):
+            run_table(3, 7, routes, jobs=2)
+        assert lattices == forks == []
 
     def test_guard_blocks_and_force_overrides(self, capsys):
         code, out, err = run_cli(capsys, "table", "--d", "1", "--n", "13")
@@ -529,7 +566,7 @@ class TestTable:
         assert run_cli(capsys, "table", "--d", "2", "--n", "4") == (code, "", err)
 
     def test_sigint_exits_without_traceback(self, cli_env):
-        # Ctrl-C reaches the whole process group; the pool workers ignore
+        # Ctrl-C reaches the whole process group; the forked workers ignore
         # it and the parent ends the sweep.
         proc = subprocess.Popen(
             [sys.executable, "-m", "grassmult", "table", "--d", "6", "--n", "14", "--force",
@@ -764,6 +801,13 @@ class TestVerify:
         assert code == 4
         assert "size guard" in err
 
+    def test_library_call_refuses_a_force_that_is_not_a_bool(self, spy):
+        # A truthy force would run the 91 pairs past the size guard.
+        sweeps = spy("_sweep")
+        with pytest.raises(ValueError, match="--force must be True or False, got 1"):
+            run_verification(1, 13, force=1)
+        assert sweeps == []
+
     def test_library_call_checks_the_guard(self, spy):
         # As run_table does: refused before any sweep unless forced.
         sweeps = spy("_sweep")
@@ -812,6 +856,41 @@ def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
     assert run_cli(capsys, *argv) == (
         5, "", "internal error: multiplicity must be >= 1, got 0\n"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ("table", "--d", "2", "--n", "4"), ("verify", "--d", "1", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_full_stdout_exits_2(cli_env, argv):
+    # A stdout that takes no bytes is output that cannot be written, as an
+    # --out path is: exit 2 and one line on stderr, not verify's exit 1
+    # for a mismatch, and no traceback.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grassmult", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n"
+    )
+
+
+def test_readme_examples_run(tmp_path):
+    # Each grassmult line of README's CLI block runs as written, with its
+    # output sent into tmp_path: a renamed option fails here, not only in
+    # the docs.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("grassmult ")]
+    assert len(commands) == 7
+    for k, argv in enumerate(commands):
+        if "--out" not in argv:
+            argv += ["--out", f"example{k}.txt"]
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, argv
+        assert os.path.getsize(argv[at]) > 0, argv
 
 
 # sha256 of the stdout bytes; any change to rows, order or rendering shows here.

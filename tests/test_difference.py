@@ -201,7 +201,7 @@ class TestBoxValues:
         boxes = spy("_box_minors", difference)
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
-        assert op_calls["determinant_bareiss"] == []
+        assert op_calls["_bareiss"] == []
         memos = [args["memos"] for args, _ in boxes]
         assert memos[1] is memos[2]
         sizes = [[len(memo) for memo in pair] for pair in memos[:2]]

@@ -97,6 +97,15 @@ class TestRoutesOnFrozenPairs:
         assert mult_sum(i, j) == 5
         assert mult_weyman(i) == 5
 
+    def test_mult_det_checks_each_input_once(self, spy):
+        # eval_poly checks the point and the shifts as it builds their
+        # matrix, 4 + 4 entries at d = 4, and eliminates that matrix
+        # unchecked: none of its 16 entries passes the int rule again.
+        i, j = validate((2, 4, 6, 8), 8), validate((1, 2, 3, 4), 8)
+        checks, eliminations = spy("_require_int"), spy("_bareiss")
+        assert mult_det(i, j) == 24
+        assert (len(checks), len(eliminations)) == (8, 1)
+
     def test_separated_product_value(self):
         i = validate((3, 6), 6)
         j = validate((1, 2), 6)
