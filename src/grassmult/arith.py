@@ -93,4 +93,10 @@ def factorial_superproduct(d: int) -> int:
     _require_int(d, "d")
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
+    return _superproduct(d)
+
+
+def _superproduct(d: int) -> int:
+    """factorial_superproduct, performing no validation: d is the length
+    of a vector the caller has checked."""
     return prod(map(factorial, range(1, d)))

@@ -8,16 +8,18 @@ determinant (eval_poly), the independent reference. Many points share one
 engine, _half_minors: column q of the matrix depends on (value q, shift q)
 only, so by Laplace expansion along a column split the value is one dot
 product of the signed minor vectors of the two column halves, each grown
-one Laplace step per column and memoized by column prefix. The box checks
-have it as their one evaluator; the determinant table runs it over the
-halves of its pairs.
+one Laplace step per column and memoized by column prefix. The
+determinant table runs it over the halves of its pairs.
 
-The box checks run on packed rows. Each left-half value tuple gets one
-integer that holds its values over the right half's sub-box, one signed
-slot of W = 64 m bits per right-half point, with m set per check from an
-exact integer bound on every value and residue. A row is the sum of the
-left minors times the right minor columns packed once, a step down in a
-right-half direction is a shift by whole slots, and one in a left-half
+The box checks run the same Laplace steps on packed integers (_box_rows).
+Each left-half value tuple gets one row: an integer that holds its values
+over the right half's sub-box, one signed slot of W = 64 m bits per
+right-half point, with m set per check from a proven integer bound on
+every value and residue, the Laplace steps run on the column maxima. The
+right half's minors are grown packed, one step per column; the left half
+runs _half_minors up to its last column, whose step is taken on the
+packed right minors. No minor vector is formed per point. A step down in
+a right-half direction is a shift by whole slots, and one in a left-half
 direction is an earlier row, so a check forms one residue row per inner
 row with a few big-integer shifts and adds. The row passes when its
 residue is zero on a mask of the inner slots. Only a failing row is
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations, product
-from operator import mul
+from operator import lshift, mul
 
 from .arith import _Frozen, _require_int, _set_field, binom
 from .matrices import _bareiss, _require_shifts, build_binomial_matrix
@@ -96,8 +98,8 @@ def _require_direction(q: int, d: int) -> None:
 def _require_box(box, d: int) -> tuple[int, int]:
     """Bounds of the box, checked before any work: integers, nonempty,
     and at most MAX_BOX_POINTS evaluated points in [lo - 1, hi]^d and
-    half-minor entries, counted as up to 2**d row sets for each value
-    tuple of the larger half."""
+    packed minor slots, counted as up to 2**d row sets of the right
+    (the larger) half, each with one slot per value tuple of that half."""
     try:
         lo, hi = box
     except (TypeError, ValueError) as exc:
@@ -141,22 +143,29 @@ def _extension_plan(d: int) -> tuple[int, list, list]:
     return h, plan(h, left), plan(d - h, right)
 
 
+def _column(memo: dict, v: int, s: int, d: int) -> list[int]:
+    """Column (v, s) of the family, (-1)**s * binom(v, p - s) for rows
+    p = 0..d-1, kept in memo under (v, s)."""
+    col = memo.get((v, s))
+    if col is None:
+        col = memo[v, s] = [(-1) ** s * binom(v, p - s) for p in range(d)]
+    return col
+
+
 def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -> list[int]:
-    """Minors of the columns (-1)**s * binom(v, p - s), p = 0..d-1, over
-    zip(values, shifts), on the row sets of plan's last level ([1] for no
-    columns), grown one Laplace step per column. memo, which the caller owns
-    for one half of one d, holds every column prefix (values, shifts) and
-    column (v, s). Performs no validation: the box checks and the sweep
-    pass integer tuples only."""
+    """Minors of the columns (v, s) over zip(values, shifts), on the row
+    sets of plan's last level ([1] for no columns), grown one Laplace step
+    per column. memo, which the caller owns for one d, holds every column
+    prefix (values, shifts) of one plan and every column (v, s): the sweep
+    keeps one per half, the box checks one for the left half's prefixes.
+    Performs no validation: the box checks and the sweep pass integer
+    tuples only."""
     out = memo.get((values, shifts))
     if out is None:
         if not values:
             return [1]
         minors = _half_minors(memo, values[:-1], shifts[:-1], plan, d)
-        v, s = values[-1], shifts[-1]
-        col = memo.get((v, s)) or memo.setdefault(
-            (v, s), [(-1) ** s * binom(v, p - s) for p in range(d)]
-        )
+        col = _column(memo, values[-1], shifts[-1], d)
         out = memo[values, shifts] = [
             sum([sign * col[r] * minors[k] for r, k, sign in terms])
             for terms in plan[len(values) - 1]
@@ -164,43 +173,73 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -
     return out
 
 
-def _box_minors(shifts: tuple[int, ...], lo: int, hi: int, memos: tuple[dict, dict]) -> list[list]:
-    """The half-minor vectors of the left and the right half of the family
-    over [lo, hi]^d, each half's value tuples in lexicographic order: the
-    value at a point is the dot product of its two halves' vectors."""
-    d = len(shifts)
+def _minor_bound(columns: dict, shifts: tuple, plan: list) -> list[int]:
+    """An upper bound on |minor| over the box, for each row set of plan's
+    last level: plan's Laplace steps over shifts, run on the largest
+    |entry| of each row of columns[s] (the columns (v, s) of the box's
+    values v) with every sign positive."""
+    out = [1]
+    for s, level in zip(shifts, plan):
+        peak = [max(map(abs, row)) for row in zip(*columns[s])]
+        out = [sum([peak[r] * out[k] for r, k, _ in terms]) for terms in level]
+    return out
+
+
+def _box_rows(d: int, boxes: list, lo: int, hi: int) -> tuple[int, list[list[int]]]:
+    """The row kernel: a slot width W = 64 m bits and, for each shift vector
+    of boxes, its packed rows over [lo, hi]^d, one per left-half value
+    tuple a in lexicographic order. Slot b of row a, the signed W bits at
+    bit W b, holds the value at the point (a, b), the right-half points b
+    in lexicographic order. Sums and shifts of rows act slot by slot while
+    no slot leaves (-2**(W-1), 2**(W-1)).
+
+    A right minor P_R is grown packed, one Laplace step per column: the
+    step along right-half coordinate i multiplies each earlier packed minor
+    by spread[r], which holds entry r of the column of the c-th value at
+    bit W side**(d-h-1-i) c, so the minor is shifted to each value's slots
+    and multiplied by the column entry there. The left half runs
+    _half_minors on its prefixes, and its last step on packed rows: per
+    prefix, H_r sums sign L_k P_R over the last-level terms (r, k, sign)
+    whose prefix minor L_k is not zero, and row (prefix, u) is the sum over
+    r of column u's entry r times H_r.
+
+    m is the least whose slots hold each right minor bound and (2d + 1) V,
+    where V, the sum over R of the _minor_bound of the left and the right
+    minor on R, bounds every value: a residue is at most 2d V in the
+    difference check and 3 V in the shift check. One memo serves every
+    box; it keeps the left prefixes and each column (v, s), built once for
+    the bound and the packing."""
+    memo: dict = {}
     span = range(lo, hi + 1)
-    h, *plans = _extension_plan(d)
-    return [
-        [_half_minors(memo, u, part, plan, d) for u in product(span, repeat=len(part))]
-        for part, plan, memo in zip((shifts[:h], shifts[h:]), plans, memos)
-    ]
-
-
-def _packed_rows(d: int, boxes: list) -> tuple[int, list[list[int]]]:
-    """The row kernel: a slot width W = 64 m bits and, for each box of
-    boxes, a list of (left, right) half-minor vectors of one box layout,
-    its packed rows. P_k packs column k of the right vectors, entry b in
-    the signed slot at bit W b, and row a is the sum of a_k P_k over the
-    nonzero entries of left vector a, so slot b of row a holds the value at
-    the point (a, b). Sums and shifts of rows act slot by slot while no
-    slot leaves (-2**(W-1), 2**(W-1)). m is the least whose slots hold
-    every entry of a P_k and (2d + 1) V, where the integer V = sum over k
-    of max|a_k| max|P_k| bounds every value: a residue is at most 2d V in
-    the difference check and 3 V in the shift check."""
+    h, left_plan, right_plan = _extension_plan(d)
+    columns = {s: [_column(memo, v, s, d) for v in span] for s in set().union(*boxes)}
     bound = 0
-    for halves in boxes:
-        left_top, right_top = ([max(map(abs, column)) for column in zip(*half)] for half in halves)
-        bound = max(bound, *right_top, (2 * d + 1) * sum(map(mul, left_top, right_top)))
+    for t in boxes:
+        left, right = _minor_bound(columns, t[:h], left_plan), _minor_bound(columns, t[h:], right_plan)
+        bound = max(bound, *right, (2 * d + 1) * sum(map(mul, left, right)))
     width = 64 * (bound.bit_length() // 64 + 1)
-    rows = []
-    for left, right in boxes:
-        packed = [
-            sum(entry << width * b for b, entry in enumerate(column) if entry)
-            for column in zip(*right)
-        ]
-        rows.append([sum(a_k * p for a_k, p in zip(a, packed) if a_k) for a in left])
-    return width, rows
+    out = []
+    for shifts in boxes:
+        packed = [1]
+        for i, (s, level) in enumerate(zip(shifts[h:], right_plan)):
+            stride = width * len(span) ** (d - h - 1 - i)
+            offsets = range(0, stride * len(span), stride)
+            spread = [sum(map(lshift, row, offsets)) for row in zip(*columns[s])]
+            packed = [sum([sign * spread[r] * packed[k] for r, k, sign in terms]) for terms in level]
+        if not h:  # d = 1: the left half's one minor is 1
+            out.append(packed)
+            continue
+        rows = []
+        for prefix in product(span, repeat=h - 1):
+            minors = _half_minors(memo, prefix, shifts[: h - 1], left_plan, d)
+            stack = [0] * d
+            for p, terms in zip(packed, left_plan[-1]):
+                for r, k, sign in terms:
+                    if minors[k]:
+                        stack[r] += sign * minors[k] * p
+            rows += [sum(map(mul, col, stack)) for col in columns[shifts[h - 1]]]
+        out.append(rows)
+    return width, out
 
 
 def _below(d: int, side: int, width: int, q: int):
@@ -252,7 +291,7 @@ def check_difference_eq(shifts: Sequence[int], box) -> CheckReport:
     shifts = _require_shifts(shifts)
     d = len(shifts)
     lo, hi = _require_box(box, d)
-    width, (rows,) = _packed_rows(d, [_box_minors(shifts, lo - 1, hi, ({}, {}))])
+    width, (rows,) = _box_rows(d, [shifts], lo - 1, hi)
     steps = [_below(d, hi - lo + 2, width, q) for q in range(1, d + 1)]
     return _scan(
         d, lo, hi, width, lambda a: (d * rows[a] - sum(step(rows, a) for step in steps), 0)
@@ -268,9 +307,6 @@ def check_shift_identity(shifts: Sequence[int], q: int, box) -> CheckReport:
     _require_direction(q, d)
     lo, hi = _require_box(box, d)
     raised = shifts[: q - 1] + (shifts[q - 1] + 1,) + shifts[q:]
-    memos = {}, {}
-    width, (base, bumped) = _packed_rows(
-        d, [_box_minors(s, lo - 1, hi, memos) for s in (shifts, raised)]
-    )
+    width, (base, bumped) = _box_rows(d, [shifts, raised], lo - 1, hi)
     step = _below(d, hi - lo + 2, width, q)
     return _scan(d, lo, hi, width, lambda a: (base[a] - step(base, a), -step(bumped, a)))

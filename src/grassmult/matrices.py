@@ -167,4 +167,10 @@ def vandermonde(values: Sequence[int]) -> int:
     input, 0 when two entries coincide."""
     for pos, v in enumerate(values, start=1):
         _require_int(v, "value", pos)
+    return _vandermonde(values)
+
+
+def _vandermonde(values: Sequence[int]) -> int:
+    """vandermonde's product, performing no validation: values are ints
+    that the caller has checked or built."""
     return prod(p - q for q, p in combinations(values, 2))

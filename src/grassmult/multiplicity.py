@@ -42,10 +42,10 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from operator import le, mul
 
-from .arith import _Frozen, _require_int, _set_field, binom, exact_div, factorial_superproduct
+from .arith import _Frozen, _require_int, _set_field, _superproduct, binom, exact_div
 from .difference import _extension_plan, _half_minors, eval_poly
 from .indices import GrassmannIndex, leq
-from .matrices import _bareiss, _require_columns, vandermonde
+from .matrices import _bareiss, _require_columns, _vandermonde
 
 __all__ = [
     "ROUTE_DETERMINANT",
@@ -266,7 +266,7 @@ def _vandermonde_sum(memo: dict, shifts: tuple[int, ...], point: tuple[int, ...]
             ]
         terms = prefix
     total = sum(c for _, _, c in _extend(terms, point[-1], shifts[-1]))
-    return exact_div(total, factorial_superproduct(len(point)))
+    return exact_div(total, _superproduct(len(point)))
 
 
 def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -306,10 +306,9 @@ def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 def _product(entries: tuple[int, ...]) -> int:
     """The product route's engine: mult_product on the entries of i for a
-    covered pair, which checks no scope. vandermonde and
-    factorial_superproduct check their arguments again, d + 1 tests per
-    pair, as they do for any caller."""
-    return exact_div(vandermonde(entries), factorial_superproduct(len(entries)))
+    covered pair, which checks no scope and no input: the entries come from
+    a validated index or from the sweep's walk."""
+    return exact_div(_vandermonde(entries), _superproduct(len(entries)))
 
 
 def frobenius_coordinates(partition: Sequence[int]) -> FrobeniusCoordinates:

@@ -382,6 +382,15 @@ class TestTable:
             pass
         assert checks == []
 
+    def test_product_sweep_revalidates_nothing(self, spy):
+        # The product engine takes the walk's entries as they are: the
+        # Vandermonde product and 1! ... 4! of its 286 pairs at (5, 12) pass
+        # no entry through the int rule, at any module binding.
+        checks, pairs = spy("_require_int"), spy("_product", multiplicity)
+        for _ in multiplicity._sweep(5, 12, range(792), ("product",)):
+            pass
+        assert (len(checks), len(pairs)) == (0, 286)
+
     def test_one_shift_vector_per_pair(self, spy):
         # The walk builds each pair's shift vector once, alongside its
         # entries, from one table of n + 1 counts per cell: 280 bisections,

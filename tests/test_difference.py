@@ -12,10 +12,11 @@ from grassmult.arith import binom
 from grassmult.difference import (
     MAX_BOX_POINTS,
     CheckReport,
-    _box_minors,
+    _box_rows,
+    _column,
     _extension_plan,
     _half_minors,
-    _packed_rows,
+    _minor_bound,
     check_difference_eq,
     check_shift_identity,
     delta_eval,
@@ -82,24 +83,14 @@ class TestDifferenceEq:
         assert check_difference_eq((2,), (-5, 5)).ok
 
     def test_detects_perturbation(self, monkeypatch):
-        real = difference._box_minors
-
-        def perturbed(shifts, lo, hi, memos):
-            # One more minor in each half, 1 at the left value 1 and at the
-            # right value 2 and 0 elsewhere, adds 1 to the value at (1, 2).
-            span = range(lo, hi + 1)
-            left, right = real(shifts, lo, hi, memos)
-            return (
-                [a + [int(u == 1)] for a, u in zip(left, span)],
-                [b + [int(w == 2)] for b, w in zip(right, span)],
-            )
-
-        monkeypatch.setattr(difference, "_box_minors", perturbed)
-        report = check_difference_eq((0, 0), (-3, 3))
-        assert not report.ok
-        assert report.witness == (1, 2)
-        assert report.lhs == 2
-        assert report.rhs == 0
+        # One column entry off by one, in either half: the report is the
+        # pointwise one of the perturbed family, a failure.
+        for target in PERTURBED:
+            monkeypatch.setattr(difference, "_column", perturbed_column(target))
+            report = check_difference_eq((0, 1, 2, 3), (-2, 2))
+            assert not report.ok
+            evaluate = column_determinant(difference._column)
+            assert report == pointwise_report((0, 1, 2, 3), None, (-2, 2), evaluate)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="empty box"):
@@ -122,19 +113,14 @@ class TestShiftIdentity:
         assert report.points_checked == 49
 
     def test_detects_perturbation(self, monkeypatch):
-        real = difference._box_minors
-
-        def perturbed(shifts, lo, hi, memos):
-            # One more minor of 1 in both halves adds 1 to every value.
-            left, right = real(shifts, lo, hi, memos)
-            if sum(shifts) == 1:
-                left, right = [a + [1] for a in left], [b + [1] for b in right]
-            return left, right
-
-        monkeypatch.setattr(difference, "_box_minors", perturbed)
-        report = check_shift_identity((0, 0), 1, (-2, 2))
-        assert not report.ok
-        assert report.witness == (-2, -2)
+        # As for the difference check. A step in direction q meets only
+        # column q, so direction q takes the perturbed column (1, q - 1).
+        for q, target in enumerate(PERTURBED, start=1):
+            monkeypatch.setattr(difference, "_column", perturbed_column(target))
+            report = check_shift_identity((0, 1, 2, 3), q, (-2, 2))
+            assert not report.ok
+            evaluate = column_determinant(difference._column)
+            assert report == pointwise_report((0, 1, 2, 3), q, (-2, 2), evaluate)
 
     def test_direction_out_of_range(self):
         with pytest.raises(ValueError, match="outside 1..2"):
@@ -188,33 +174,62 @@ class TestBoxValues:
         # more than one 64-bit word, the others one.
         d, span = len(shifts), range(lo, hi + 1)
         expected = [eval_poly(shifts, t) for t in product(span, repeat=d)]
-        width, (rows,) = _packed_rows(d, [_box_minors(shifts, lo, hi, ({}, {}))])
+        width, (rows,) = _box_rows(d, [shifts], lo, hi)
         assert width > 64 if abs(lo) > 10**6 else width == 64
         count = len(span) ** (d - d // 2)
         assert [v for row in rows for v in slots(row, width, count)] == expected
 
+    @given(
+        st.integers(1, 5).flatmap(lambda d: st.tuples(
+            st.lists(st.integers(0, 6), min_size=d, max_size=d).map(tuple),
+            st.one_of(st.integers(-6, 6), st.integers(-(10**20), 10**20)),
+            st.integers(0, 2 if d == 5 else 3),
+        ))
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_decode_and_the_bound_holds(self, case):
+        # The packed rows decode to eval_poly, slot by slot, and the Laplace
+        # steps on column maxima bound each half's minors, which
+        # _half_minors gives exactly at every value tuple of the half.
+        shifts, lo, extent = case
+        d, span = len(shifts), range(lo, lo + extent + 1)
+        width, (rows,) = _box_rows(d, [shifts], lo, lo + extent)
+        count = len(span) ** (d - d // 2)
+        decoded = [v for row in rows for v in slots(row, width, count)]
+        assert decoded == [eval_poly(shifts, t) for t in product(span, repeat=d)]
+        h, *plans = _extension_plan(d)
+        columns = {s: [_column({}, v, s, d) for v in span] for s in shifts}
+        for part, plan in zip((shifts[:h], shifts[h:]), plans):
+            minors = [_half_minors({}, u, part, plan, d) for u in product(span, repeat=len(part))]
+            exact = [max(map(abs, minor)) for minor in zip(*minors)]
+            bound = _minor_bound(columns, part, plan)
+            assert all(b >= e for b, e in zip(bound, exact, strict=True))
+
     def test_minor_count(self, op_calls, spy):
-        # No determinant: one memo entry per column (v, s) and per column
-        # prefix of a half, 2 * 13 + 13 + 13**2 = 208 per half of [-6, 6]^4.
-        # The shift check's boxes share their memos, so raising shift 3 adds
-        # 13 + 13 + 13**2 entries to the right half only.
-        boxes = spy("_box_minors", difference)
+        # No determinant and no minor vector per point: one memo entry per
+        # column (v, s) of a check and per left prefix below the last left
+        # column, 3 * 13 + 13 = 52 for shifts (0, 1, 0, 3) on [-6, 6]^4.
+        # The shift check's raised box takes the shift 1 that its base box
+        # has already and shares the base box's memo, so it adds none.
+        kernels, columns = spy("_box_rows", difference), spy("_column", difference)
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 3, (-5, 6)).ok
         assert op_calls["_bareiss"] == []
-        memos = [args["memos"] for args, _ in boxes]
-        assert memos[1] is memos[2]
-        sizes = [[len(memo) for memo in pair] for pair in memos[:2]]
-        assert sizes == [[208, 208], [208, 403]]
+        assert [args["boxes"] for args, _ in kernels] == [
+            [(0, 1, 0, 3)], [(0, 1, 0, 3), (0, 1, 1, 3)]
+        ]
+        memos = {id(args["memo"]): args["memo"] for args, _ in columns}
+        assert [len(memo) for memo in memos.values()] == [52, 52]
 
     def test_binom_count(self, op_calls):
-        # One binom per row of a distinct (value, shift) column of a half and
-        # none per point: 2 halves x 2 columns x 13 values x 4 rows for each
-        # check's base box, and 13 x 4 for the raised column (v, 2) of the
-        # shift check, whose raised box shares the base box's memos.
+        # One binom per row of a distinct (value, shift) column of a check,
+        # shared by both halves, the slot bound and the packing, and none
+        # per point: 3 shifts x 13 values x 4 rows for the difference
+        # check, and 4 x 13 x 4 for the shift check, whose raised box adds
+        # the shift 2.
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 2, (-5, 6)).ok
-        assert len(op_calls["binom"]) == 208 + 260
+        assert len(op_calls["binom"]) == 156 + 208
 
     def test_cost_bound_before_any_work(self, op_calls):
         # 13**9 points, or 2**16 points whose larger half alone has 2**8
@@ -234,12 +249,14 @@ def wrong_binom(n: int, k: int) -> int:
     return binom(n, k) + (k == 0 and n % 5 == 2)
 
 
-def pointwise_report(shifts: tuple, q: int | None, box: tuple[int, int]) -> CheckReport:
+def pointwise_report(
+    shifts: tuple, q: int | None, box: tuple[int, int], evaluate=eval_poly
+) -> CheckReport:
     """The report of the difference check (q None) or of the shift check in
-    direction q, from eval_poly at single points: the first inner point in
-    lexicographic order where the two sides differ."""
+    direction q, from evaluate(shifts, point) at single points: the first
+    inner point in lexicographic order where the two sides differ."""
     d, (lo, hi) = len(shifts), box
-    value = cache(eval_poly)
+    value = cache(evaluate)
 
     def down(t, p):
         return t[: p - 1] + (t[p - 1] - 1,) + t[p:]
@@ -254,6 +271,32 @@ def pointwise_report(shifts: tuple, q: int | None, box: tuple[int, int]) -> Chec
         if lhs != rhs:
             return CheckReport(False, checked, witness=t, lhs=lhs, rhs=rhs)
     return CheckReport(True, checked)
+
+
+# Column (1, s) perturbed, s = 0 and 1 in the left half of shifts (0, 1, 2, 3),
+# its prefix and its last column, and s = 2 and 3 in the right half.
+PERTURBED = [(1, s) for s in range(4)]
+
+
+def perturbed_column(target: tuple[int, int]):
+    """_column with its first entry one more on column target = (v, s)."""
+    real = _column
+
+    def column(memo, v, s, d):
+        col = real(memo, v, s, d)
+        return [col[0] + 1] + col[1:] if (v, s) == target else col
+
+    return column
+
+
+def column_determinant(column):
+    """evaluate(shifts, point): the determinant of the columns
+    column(memo, v, s, d) of the point, which eval_poly is for _column."""
+    def evaluate(shifts, point):
+        cols = [column({}, v, s, len(point)) for v, s in zip(point, shifts)]
+        return determinant_bareiss([list(row) for row in zip(*cols)])
+
+    return evaluate
 
 
 class TestFailurePath:

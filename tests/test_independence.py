@@ -27,7 +27,7 @@ ENGINES = {
 SCAFFOLDING = {
     "arith.binom",
     "arith.exact_div",
-    "arith.factorial_superproduct",
+    "arith._superproduct",
     "arith.InexactDivisionError",
     "matrices._bareiss",
 }
@@ -97,20 +97,19 @@ def test_routes_share_no_formula():
     sources = _sources()
     assert shared_formulas(sources) == {}
     # The reading sees through imports: it finds the scaffolding the
-    # routes do share.
+    # routes do share, and no input check, as only the determinant route's
+    # pointwise evaluator checks what it is given.
     graph = references(sources)
     reached = [reach(graph, roots) for roots in ENGINES.values()]
-    assert set().union(*(a & b for a, b in combinations(reached, 2))) == SCAFFOLDING | {
-        "arith._require_int"
-    }
+    assert set().union(*(a & b for a, b in combinations(reached, 2))) == SCAFFOLDING
 
 
 # Each call is spliced into the source text and only parsed, never run, so
 # what is caught is the reference to the formula, whatever its arguments.
 @pytest.mark.parametrize("call, shared", [
-    ("vandermonde(point)", {("sum", "product"): ["matrices.vandermonde"]}),
+    ("_vandermonde(point)", {("sum", "product"): ["matrices._vandermonde"]}),
     ("_half_minors({}, point, shifts, [()], [1], 1)",
-     {("determinant", "sum"): ["difference._half_minors"]}),
+     {("determinant", "sum"): ["difference._column", "difference._half_minors"]}),
 ])
 def test_a_borrowed_formula_is_caught(call, shared):
     sources = _sources()
