@@ -34,7 +34,7 @@ from itertools import combinations, product
 from operator import lshift, mul
 
 from .arith import _Frozen, _require_int, _set_field, binom
-from .matrices import _bareiss, _require_shifts, build_binomial_matrix
+from .matrices import _bareiss, _binomial_matrix, _require_columns, _require_shifts
 
 __all__ = [
     "CheckReport",
@@ -74,9 +74,14 @@ def eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
     Integer valued on the whole lattice. At point = i.entries with
     shifts = s_vector(i, j) it equals the multiplicity of the pair.
     """
-    matrix = build_binomial_matrix(point, shifts)
-    sign = -1 if sum(shifts) % 2 else 1
-    return sign * _bareiss(matrix)
+    _require_columns(point, shifts)
+    return _eval_poly(shifts, point)
+
+
+def _eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
+    """eval_poly on checked columns, performing no validation: mult_det
+    passes a validated index's entries and their s_vector."""
+    return (-1) ** sum(shifts) * _bareiss(_binomial_matrix(point, shifts))
 
 
 def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:

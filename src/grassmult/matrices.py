@@ -146,8 +146,12 @@ def build_binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matri
     """Matrix whose column q holds binom(values[q], p - shifts[q]) for rows
     p = 0..d-1; the carrier of the determinant route for multiplicities."""
     _require_columns(values, shifts)
-    d = len(values)
-    return [[binom(values[q], p - shifts[q]) for q in range(d)] for p in range(d)]
+    return _binomial_matrix(values, shifts)
+
+
+def _binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matrix:
+    """build_binomial_matrix on checked columns, performing no validation."""
+    return [[binom(v, p - s) for v, s in zip(values, shifts)] for p in range(len(values))]
 
 
 def build_shifted_vandermonde_matrix(

@@ -40,10 +40,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from operator import le, mul
+from itertools import filterfalse
+from math import comb
+from operator import getitem, le, mul
 
 from .arith import _Frozen, _require_int, _set_field, _superproduct, binom, exact_div
-from .difference import _extension_plan, _half_minors, eval_poly
+from .difference import _eval_poly, _extension_plan, _half_minors
 from .indices import GrassmannIndex, leq
 from .matrices import _bareiss, _require_columns, _vandermonde
 
@@ -138,8 +140,9 @@ def _degree(entries: tuple[int, ...], floor_set: set[int]) -> int:
 
 def mult_det(i: GrassmannIndex, j: GrassmannIndex) -> int:
     """Multiplicity as a signed binomial determinant (production route):
-    the determinant family eval_poly at point i with shifts s_vector(i, j)."""
-    return eval_poly(s_vector(i, j), i.entries)
+    the determinant family eval_poly at point i with shifts s_vector(i, j),
+    whose entries need no second check."""
+    return _eval_poly(s_vector(i, j), i.entries)
 
 
 def mult_rec(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -172,8 +175,8 @@ def _lattice(floor: tuple[int, ...], ceil: tuple[int, ...]) -> list:
     e - 1 is the tuples whose next entry is e, then the block of e in the
     same order, so a move lowering position q from e goes back size[q][e]
     ranks. size[q] holds e in [floor_q, ceil_q] only, so no table is wider
-    than the interval. Built one coordinate at a time, as _up_set builds
-    tuples, each prefix extending its moves alongside its tuple."""
+    than the interval. Built one coordinate at a time from the first,
+    level by level, each prefix extending its moves alongside its tuple."""
     size = [dict.fromkeys(range(floor[-1], ceil[-1] + 1), 1)]
     for q in range(len(floor) - 2, -1, -1):
         after, row = size[0], {}
@@ -217,23 +220,38 @@ def _recurrence(lattice: list, floor: tuple[int, ...], ranks, values: list) -> N
             values[r] = 1
 
 
-def _up_set(floor: tuple[int, ...], ceil: tuple[int, ...], shifts: bool) -> list:
-    """Strictly increasing tuples t with floor <= t <= ceil componentwise in
-    lexicographic order, built one coordinate at a time; with shifts, as
-    pairs (t, s_vector of t above floor), s read from a table of
-    d - bisect_right(floor, v) per value v and extended alongside t."""
-    if shifts:
-        count = [len(floor) - bisect_right(floor, v) for v in range(ceil[-1] + 1)]
-        level = [((e,), (count[e],)) for e in range(floor[0], ceil[0] + 1)]
-        for lo, hi in zip(floor[1:], ceil[1:]):
-            level = [
-                (t + (e,), s + (count[e],)) for t, s in level for e in range(max(lo, t[-1] + 1), hi + 1)
-            ]
-        return level
-    level = [(e,) for e in range(floor[0], ceil[0] + 1)]
-    for lo, hi in zip(floor[1:], ceil[1:]):
-        level = [t + (e,) for t in level for e in range(max(lo, t[-1] + 1), hi + 1)]
-    return level
+def _weights(d: int, n: int) -> list[list[int]]:
+    """Rank weights of I(d, n): W[q][e] for 0-based position q and value
+    e = 0..n, such that the rank of t in the lexicographic order that
+    enumerate_indices yields is the sum of W[q][t_q]. The tuples below t
+    that first differ at q have a value v in (t_{q-1}, t_q) there, and
+    sum_v C(n - v, d - q - 1) telescopes into C(n - t_{q-1}, d - q) minus
+    C(n - t_q + 1, d - q): each part belongs to one coordinate."""
+    return [[(q == 0) * comb(n, d) + (q < d - 1) * comb(n - e, d - q - 1) - comb(n - e + 1, d - q)
+             for e in range(n + 1)] for q in range(d)]
+
+
+def _walk(weights: list, floor: tuple[int, ...], ceil: tuple[int, ...], keyed: bool) -> list[int]:
+    """The strictly increasing t with floor <= t <= ceil componentwise, for
+    strictly increasing floor and ceil, as increasing int keys: the rank of
+    t (weights from _weights), or when keyed that rank times d**d plus
+    sum_q s_q d**q, s the s_vector of t above floor. A digit fits, as
+    s_q <= d - 1 - q. Each key is a sum of one table entry per coordinate,
+    K_q[e] = W_q[e] d**d + (d - bisect_right(floor, e)) d**q, so the walk
+    builds suffixes from the last coordinate to the first, grouped by first
+    value: level q adds K_q[e] to the suffixes whose first value exceeds e,
+    a tail of the level before, which leaves every level in lexicographic
+    order."""
+    d, keys, head = len(floor), [0], {}  # the empty suffix, above every value
+    base = d**d if keyed else 1
+    count = [d - bisect_right(floor, v) for v in range(ceil[-1] + 1)] if keyed else [0] * (ceil[-1] + 1)
+    for q in range(d - 1, -1, -1):
+        table, level, at, place = weights[q], [], {}, d**q
+        for e in range(floor[q], ceil[q] + 1):
+            at[e] = len(level)
+            level += map((table[e] * base + count[e] * place).__add__, keys[head.get(e + 1, 0):])
+        keys, head = level, at
+    return keys
 
 
 def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> int:
@@ -288,8 +306,9 @@ def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int,
 
 
 def mult_sum(i: GrassmannIndex, j: GrassmannIndex) -> int:
-    """Multiplicity as the alternating Vandermonde sum."""
-    return alternating_vandermonde_sum(s_vector(i, j), i.entries)
+    """Multiplicity as the alternating Vandermonde sum, by its engine on a
+    validated index's entries and their s_vector."""
+    return _vandermonde_sum({}, s_vector(i, j), i.entries)
 
 
 def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -417,7 +436,7 @@ def _sweep(
     """For each cell j of cells, given by its rank in I(d, n) in the
     lexicographic order enumerate_indices yields: the up-set {i >= f} of
     the least floor f that the routes have at j (see _floor) as increasing
-    ranks, walked once by _up_set, and one column per route, aligned with
+    ranks, walked once by _walk, and one column per route, aligned with
     those ranks. The pairs a route covers are the tail from its own
     floor's rank on, found by one bisection per cell and route: its column
     holds None before that rank and the route's value from it on, and no
@@ -428,54 +447,59 @@ def _sweep(
     InvariantError is raised. routes names routes of ROUTES, each once, as
     every caller has checked: no name is checked here.
 
-    One lattice of I(d, n) and one rank map of its tuples are built per
-    call, for every route. The determinant and the sum see a pair only
-    through its class (i, s_vector(i, j)), which the walk yields. Each keeps
-    its own values by class for this call and evaluates a class once: the
-    determinant by mult_det's column split, with a half-minor memo per half
-    for this call; the sum by its prefix-term engine, with a prefix memo
-    per cell. The recurrence runs its engine on the lattice, with one value
-    list by rank that each cell overwrites on the ranks of its up-set;
-    product and weyman run their engines on the tail from their floor.
+    One lattice of I(d, n) and one table of rank weights (_weights) are
+    built per call, for every route; a floor's rank is the sum of its
+    weights. The determinant and the sum see a pair only through its class
+    (i, s_vector(i, j)), which is the walk's int key: rank(i) * d**d plus
+    the base-d digits of s, a recurrence-only sweep walking bare ranks.
+    Each keeps its own values by key for this call and evaluates a class
+    once, decoding its key only then (i from the lattice, s from the
+    digits): the determinant by mult_det's column split, with a half-minor
+    memo per half for this call; the sum by its prefix-term engine, with a
+    prefix memo per cell. The recurrence runs its engine on the lattice,
+    with one value list by rank that each cell overwrites on the ranks of
+    its up-set; product and weyman run their engines on the tail from their
+    floor, reading each i from the lattice.
     """
     top = tuple(range(n - d + 1, n + 1))
     lattice = _lattice(tuple(range(1, d + 1)), top)
-    rank, rec_values = {t: r for r, (t, _) in enumerate(lattice)}, [0] * len(lattice)
+    weights, rec_values = _weights(d, n), [0] * len(lattice)
     h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
+    base = d**d if keyed else 1
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
         left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
         right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
+    def by_key(values: dict, keys: list[int], engine) -> list[int]:
+        for key in filterfalse(values.__contains__, keys):  # decode each new class
+            r, code = divmod(key, base)
+            values[key] = engine(lattice[r][0], tuple(code // d**q % d for q in range(d)))
+        return list(map(values.__getitem__, keys))
+
     for c in cells:
         js = lattice[c][0]
         floors = [_floor(route, js) for route in routes]
-        walk = _up_set(min(filter(None, floors)), top, keyed) if any(floors) else []
-        ups = [t for t, _ in walk] if keyed else walk
-        ranks = [rank[t] for t in ups]
+        keys = _walk(weights, min(filter(None, floors)), top, keyed) if any(floors) else []
+        ranks = list(map(base.__rfloordiv__, keys)) if keyed else keys
         columns = []
         for route, floor in zip(routes, floors):
-            skip = bisect_left(ranks, rank.get(floor, len(lattice)))
+            past = floor is None or floor[-1] > n  # no rank: the column is all None
+            skip = len(ranks) if past else bisect_left(ranks, sum(map(getitem, weights, floor)))
             if route == ROUTE_DETERMINANT:
-                column = _by_class(det_values, walk, det)
+                column = by_key(det_values, keys, det)
             elif route == ROUTE_RECURRENCE:
                 _recurrence(lattice, js, ranks, rec_values)
                 column = [rec_values[r] for r in ranks]
             elif route == ROUTE_SUM:
                 memo: dict = {}
-                column = _by_class(sum_values, walk, lambda t, s: _vandermonde_sum(memo, s, t))
+                column = by_key(sum_values, keys, lambda t, s: _vandermonde_sum(memo, s, t))
             else:  # product or weyman
                 engine = _product if route == ROUTE_PRODUCT else _weyman
-                column = [None] * skip + [engine(t) for t in ups[skip:]]
+                column = [None] * skip + [engine(lattice[r][0]) for r in ranks[skip:]]
             _require_multiplicity(min(column[skip:], default=1))
             columns.append(column)
         yield ranks, columns
-
-
-def _by_class(values: dict, walk: list, engine) -> list[int]:
-    """Values of walk's (t, s) pairs, engine(t, s) stored on a miss; a value is never 0."""
-    get = values.get
-    return [get(key) or values.setdefault(key, engine(*key)) for key in walk]

@@ -52,7 +52,7 @@ def spy(monkeypatch):
 
 @pytest.fixture
 def op_calls(spy):
-    """The calls of binom, _bareiss, leq and _up_set at every module
+    """The calls of binom, _bareiss, leq and _walk at every module
     binding. _bareiss is the elimination of every Bareiss determinant,
     checked or not, so it counts each one."""
-    return {name: spy(name) for name in ("binom", "_bareiss", "leq", "_up_set")}
+    return {name: spy(name) for name in ("binom", "_bareiss", "leq", "_walk")}

@@ -270,8 +270,8 @@ class TestTable:
         ):
             run_table(d=3, n=7, routes=routes)
             assert op_calls["leq"] == []
-            assert [args["shifts"] for args, _ in op_calls["_up_set"]] == [keyed] * 35
-            op_calls["_up_set"].clear()
+            assert [args["keyed"] for args, _ in op_calls["_walk"]] == [keyed] * 35
+            op_calls["_walk"].clear()
 
     @pytest.mark.parametrize("jobs", ["2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
@@ -358,14 +358,14 @@ class TestTable:
         # per pair. The product and weyman engines take entry tuples: no
         # refusal is formatted and no index is built beyond the 35 cells.
         floors, refusals = spy("_floor", multiplicity), spy("_refusal", multiplicity)
-        indices, walks = spy("__init__", grassmult.GrassmannIndex), spy("_up_set", multiplicity)
+        indices, walks = spy("__init__", grassmult.GrassmannIndex), spy("_walk", multiplicity)
         run_table(d=3, n=7, routes=multiplicity.ROUTES)
         assert Counter(args["route"] for args, _ in floors) == dict.fromkeys(multiplicity.ROUTES, 35)
         assert refusals == []
         assert len(indices) == 35
         # A product-only sweep walks the 28 separated pairs, and a
         # weyman-only sweep the base cell's 35 in one walk; a walk of every
-        # up-set takes 490 tuples.
+        # up-set takes 490 keys.
         walks.clear()
         run_table(d=3, n=7, routes=("product",))
         assert sum(len(out) for _, out in walks) == 28
@@ -392,18 +392,21 @@ class TestTable:
         assert (len(checks), len(pairs)) == (0, 286)
 
     def test_one_shift_vector_per_pair(self, spy):
-        # The walk builds each pair's shift vector once, alongside its
-        # entries, from one table of n + 1 counts per cell: 280 bisections,
-        # against 1 470 when each pair's vector is counted on its own. The
-        # determinant and sum columns share it.
-        bisections, walks = spy("bisect_right", multiplicity), spy("_up_set", multiplicity)
+        # The walk codes each pair's shift vector once, in its key, from
+        # one table of n + 1 counts per cell: 280 bisections, against 1 470
+        # when each pair's vector is counted on its own. The determinant and
+        # sum columns share it. A key is rank * 3**3 + s_1 + 3 s_2 + 9 s_3.
+        bisections, walks = spy("bisect_right", multiplicity), spy("_walk", multiplicity)
         run_table(d=3, n=7, routes=("determinant", "sum"))
-        walked = [(args["floor"], t, s) for args, out in walks for t, s in out]
+        indices = list(grassmult.enumerate_indices(3, 7))
+        walked = [
+            (args["floor"], indices[key // 27], (key % 3, key // 3 % 3, key // 9 % 3))
+            for args, out in walks for key in out
+        ]
         assert len(bisections) == 35 * 8
         assert len(walked) == 490
         assert all(
-            s == multiplicity.s_vector(grassmult.validate(t, 7), grassmult.validate(floor, 7))
-            for floor, t, s in walked
+            s == multiplicity.s_vector(i, grassmult.validate(floor, 7)) for floor, i, s in walked
         )
 
     def test_sum_memo_lives_for_one_cell(self, spy):
@@ -926,12 +929,24 @@ GOLDEN = [
         ("table", "--d", "3", "--n", "4", "--route", "product", "--format", "json"),
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     ),
+    (
+        # An odd d with halves of 2 and 3 columns and base-5 shift codes.
+        ("table", "--d", "5", "--n", "10", "--route", "all"),
+        "85016246c85555370c2163e1927e2d2110396007e998671366f250cc32b0b464",
+    ),
+    (
+        ("table", "--d", "5", "--n", "10", "--route", "all", "--format", "json"),
+        "ea076bff8911b2df63d6d67ff69e2b6fdcc6953d0b69ecf8ad46d6c1f63034f6",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest", GOLDEN,
-    ids=["table_csv", "table_json", "compute_json", "compute_csv", "table_json_empty"],
+    ids=[
+        "table_csv", "table_json", "compute_json", "compute_csv", "table_json_empty",
+        "table_d5_csv", "table_d5_json",
+    ],
 )
 def test_golden_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)

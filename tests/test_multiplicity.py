@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb, prod
+from operator import le
 import tracemalloc
 
 import pytest
@@ -98,13 +99,22 @@ class TestRoutesOnFrozenPairs:
         assert mult_weyman(i) == 5
 
     def test_mult_det_checks_each_input_once(self, spy):
-        # eval_poly checks the point and the shifts as it builds their
-        # matrix, 4 + 4 entries at d = 4, and eliminates that matrix
-        # unchecked: none of its 16 entries passes the int rule again.
+        # A validated index was checked at the door, so mult_det passes its
+        # entries and their s_vector to eval_poly's unchecked core, and
+        # eliminates the matrix unchecked: none of the 4 + 4 entries or the
+        # 16 matrix entries passes the int rule again.
         i, j = validate((2, 4, 6, 8), 8), validate((1, 2, 3, 4), 8)
         checks, eliminations = spy("_require_int"), spy("_bareiss")
         assert mult_det(i, j) == 24
-        assert (len(checks), len(eliminations)) == (8, 1)
+        assert (len(checks), len(eliminations)) == (0, 1)
+
+    def test_mult_sum_checks_each_input_once(self, spy):
+        # mult_sum runs the sum's engine on a validated index's entries and
+        # their s_vector: no entry passes the int rule again.
+        i, j = validate((2, 4, 6, 8), 8), validate((1, 2, 3, 4), 8)
+        checks, sums = spy("_require_int"), spy("_vandermonde_sum", multiplicity)
+        assert mult_sum(i, j) == 24
+        assert (len(checks), len(sums)) == (0, 1)
 
     def test_separated_product_value(self):
         i = validate((3, 6), 6)
@@ -159,6 +169,26 @@ class TestDeterminantSweep:
                 for j, (ranks, _) in zip(cells, _sweep(d, n, range(len(cells)), ("recurrence",))):
                     assert all(a < b for a, b in zip(ranks, ranks[1:]))
                     assert [cells[r] for r in ranks] == [i for i in cells if leq(j, i)]
+
+    def test_walk_keys_decode_to_brute_force_up_sets(self):
+        # The sweep's codec: a key is rank * d**d plus the base-d digits of
+        # the shift vector above the walk's floor, or the bare rank when
+        # unkeyed. Every route's floor at every cell is walked, product
+        # floors past n included, whose up-sets are empty.
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                cells = [j.entries for j in enumerate_indices(d, n)]
+                top, weights = cells[-1], multiplicity._weights(d, n)
+                floors = {multiplicity._floor(route, j) for route in ROUTES for j in cells}
+                for floor in floors - {None}:
+                    ups = [r for r, t in enumerate(cells) if all(map(le, floor, t))]
+                    keys = multiplicity._walk(weights, floor, top, True)
+                    assert [key // d**d for key in keys] == ups
+                    assert multiplicity._walk(weights, floor, top, False) == ups
+                    for key in keys:
+                        shifts = tuple(key // d**q % d for q in range(d))
+                        assert shifts == s_vector(validate(cells[key // d**d], n), validate(floor, n))
+                assert any(floor and floor[-1] > n for floor in floors) == (d > 1)
 
     def test_evaluate_refuses_an_unknown_route(self):
         i = validate((1,), 1)
