@@ -466,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":  # refused here, as _emit would write it to stdout
+            raise ValueError("--out needs a path, got ''")
         return args.func(args)
     except (InexactDivisionError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

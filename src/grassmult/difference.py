@@ -89,9 +89,9 @@ def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:
     minus the value at point with coordinate q lowered by one."""
     _require_direction(q, len(shifts))
     t = tuple(point)
-    value = eval_poly(shifts, t)
+    _require_columns(t, shifts)
     stepped = t[: q - 1] + (t[q - 1] - 1,) + t[q:]
-    return value - eval_poly(shifts, stepped)
+    return _eval_poly(shifts, t) - _eval_poly(shifts, stepped)
 
 
 def _require_direction(q: int, d: int) -> None:

@@ -449,23 +449,26 @@ def _sweep(
 
     One lattice of I(d, n) and one table of rank weights (_weights) are
     built per call, for every route; a floor's rank is the sum of its
-    weights. The determinant and the sum see a pair only through its class
-    (i, s_vector(i, j)), which is the walk's int key: rank(i) * d**d plus
-    the base-d digits of s, a recurrence-only sweep walking bare ranks.
-    Each keeps its own values by key for this call and evaluates a class
-    once, decoding its key only then (i from the lattice, s from the
-    digits): the determinant by mult_det's column split, with a half-minor
-    memo per half for this call; the sum by its prefix-term engine, with a
-    prefix memo per cell. The recurrence runs its engine on the lattice,
-    with one value list by rank that each cell overwrites on the ranks of
-    its up-set; product and weyman run their engines on the tail from their
-    floor, reading each i from the lattice.
+    weights. A pair's value depends on its class (i, s_vector(i, j)) alone,
+    and the walk's int key codes that class as rank(i) * d**d plus the
+    base-d digits of s when the determinant or the sum is asked for; else
+    it is the bare rank, which decodes to s = 0. That is all product and
+    weyman read: product's pairs are separated (s = 0), and weyman's value
+    depends on i alone. Every route but the recurrence keeps its own values
+    by key for this call and evaluates a class once, in the one miss loop,
+    decoding its key only then (i from the lattice, s from the digits): the
+    determinant by mult_det's column split, with a half-minor memo per half
+    for this call; the sum by its prefix-term engine, with a prefix memo
+    per cell; product and weyman by their engines on i, once per i. The
+    recurrence runs its engine on the lattice, with one value list by rank
+    that each cell overwrites on the ranks of its up-set. Every column is
+    then read off its route's values, by key or by rank, in one expression.
     """
     top = tuple(range(n - d + 1, n + 1))
     lattice = _lattice(tuple(range(1, d + 1)), top)
     weights, rec_values = _weights(d, n), [0] * len(lattice)
     h, left_plan, right_plan = _extension_plan(d)
-    left_memo, right_memo, det_values, sum_values = {}, {}, {}, {}
+    left_memo, right_memo = {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
     base = d**d if keyed else 1
 
@@ -474,32 +477,28 @@ def _sweep(
         right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
-    def by_key(values: dict, keys: list[int], engine) -> list[int]:
-        for key in filterfalse(values.__contains__, keys):  # decode each new class
-            r, code = divmod(key, base)
-            values[key] = engine(lattice[r][0], tuple(code // d**q % d for q in range(d)))
-        return list(map(values.__getitem__, keys))
-
+    tables = {  # per route: its values by class key for this call, and its engine on (t, s)
+        ROUTE_DETERMINANT: ({}, det), ROUTE_SUM: ({}, lambda t, s: _vandermonde_sum(memo, s, t)),
+        ROUTE_PRODUCT: ({}, lambda t, s: _product(t)), ROUTE_WEYMAN: ({}, lambda t, s: _weyman(t)),
+    }
     for c in cells:
         js = lattice[c][0]
         floors = [_floor(route, js) for route in routes]
         keys = _walk(weights, min(filter(None, floors)), top, keyed) if any(floors) else []
         ranks = list(map(base.__rfloordiv__, keys)) if keyed else keys
-        columns = []
+        memo, columns = {}, []  # the sum's prefix memo lives for one cell
         for route, floor in zip(routes, floors):
             past = floor is None or floor[-1] > n  # no rank: the column is all None
             skip = len(ranks) if past else bisect_left(ranks, sum(map(getitem, weights, floor)))
-            if route == ROUTE_DETERMINANT:
-                column = by_key(det_values, keys, det)
-            elif route == ROUTE_RECURRENCE:
+            if route == ROUTE_RECURRENCE:
                 _recurrence(lattice, js, ranks, rec_values)
-                column = [rec_values[r] for r in ranks]
-            elif route == ROUTE_SUM:
-                memo: dict = {}
-                column = by_key(sum_values, keys, lambda t, s: _vandermonde_sum(memo, s, t))
-            else:  # product or weyman
-                engine = _product if route == ROUTE_PRODUCT else _weyman
-                column = [None] * skip + [engine(lattice[r][0]) for r in ranks[skip:]]
+                values, tail = rec_values, ranks
+            else:
+                (values, engine), tail = tables[route], keys[skip:]
+                for key in filterfalse(values.__contains__, tail):  # decode each new class
+                    r, code = divmod(key, base)
+                    values[key] = engine(lattice[r][0], tuple(code // d**q % d for q in range(d)))
+            column = [None] * skip + list(map(values.__getitem__, tail))
             _require_multiplicity(min(column[skip:], default=1))
             columns.append(column)
         yield ranks, columns

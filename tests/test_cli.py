@@ -19,6 +19,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -384,12 +385,13 @@ class TestTable:
 
     def test_product_sweep_revalidates_nothing(self, spy):
         # The product engine takes the walk's entries as they are: the
-        # Vandermonde product and 1! ... 4! of its 286 pairs at (5, 12) pass
-        # no entry through the int rule, at any module binding.
+        # Vandermonde product and 1! ... 4! of the 56 i that its 286 pairs
+        # at (5, 12) meet pass no entry through the int rule, at any module
+        # binding. Each i is evaluated once, as its value is one class's.
         checks, pairs = spy("_require_int"), spy("_product", multiplicity)
         for _ in multiplicity._sweep(5, 12, range(792), ("product",)):
             pass
-        assert (len(checks), len(pairs)) == (0, 286)
+        assert (len(checks), len(pairs)) == (0, 56)
 
     def test_one_shift_vector_per_pair(self, spy):
         # The walk codes each pair's shift vector once, in its key, from
@@ -421,6 +423,19 @@ class TestTable:
             counts.append((len(cells), terms))
             sums.clear()
         assert counts == [(15, 236), (15, 236)]
+
+    @pytest.mark.parametrize("d, n, products, weymans", [(3, 7, 10, 35), (4, 9, 15, 126)])
+    def test_product_and_weyman_evaluated_once_per_i(self, spy, d, n, products, weymans):
+        # A separated pair's class is (i, 0) and weyman has one cell, so each
+        # route evaluates each i it covers once in an all-routes table:
+        # product the C(n - d + 1, d) i >= (d, ..., 2d - 1), weyman every i.
+        # One call per pair would make 28 and 45 product calls.
+        product_calls = spy("_product", multiplicity)
+        weyman_calls = spy("_weyman", multiplicity)
+        run_table(d=d, n=n, routes=multiplicity.ROUTES)
+        for calls, count in ((product_calls, products), (weyman_calls, weymans)):
+            assert len({args["entries"] for args, _ in calls}) == len(calls) == count
+        assert products == comb(n - d + 1, d) and weymans == comb(n, d)
 
     @pytest.mark.parametrize("d, n, classes", [(3, 7, 105), (4, 9, 771)])
     def test_each_class_evaluated_once(self, spy, d, n, classes):
@@ -870,6 +885,22 @@ def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "4", "--i", "2,4", "--j", "1,2"),
+    ("table", "--d", "2", "--n", "4"),
+    ("verify", "--d", "2", "--n", "4"),
+    ("bench", "--d", "2", "--n", "4"),
+], ids=lambda argv: argv[0])
+def test_empty_out_is_refused(capsys, monkeypatch, spy, tmp_path, argv):
+    # An empty --out names no file. It is refused before any work, and not
+    # taken for stdout: exit 2, one line, no output and no file made.
+    monkeypatch.chdir(tmp_path)
+    sweeps, evaluations = spy("_sweep", cli), spy("_evaluate", cli)
+    assert run_cli(capsys, *argv, "--out", "") == (2, "", "error: --out needs a path, got ''\n")
+    assert sweeps == evaluations == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ("table", "--d", "2", "--n", "4"), ("verify", "--d", "1", "--n", "2"),
@@ -938,6 +969,11 @@ GOLDEN = [
         ("table", "--d", "5", "--n", "10", "--route", "all", "--format", "json"),
         "ea076bff8911b2df63d6d67ff69e2b6fdcc6953d0b69ecf8ad46d6c1f63034f6",
     ),
+    (
+        # 263 rows of an unkeyed walk feeding the product and weyman routes.
+        ("table", "--d", "5", "--n", "10", "--route", "product", "--route", "weyman"),
+        "08f49a92b42b8fda9058d806dfce9aa68e95e3fd8e16b4f5a0951c77ac315528",
+    ),
 ]
 
 
@@ -945,7 +981,7 @@ GOLDEN = [
     "argv, digest", GOLDEN,
     ids=[
         "table_csv", "table_json", "compute_json", "compute_csv", "table_json_empty",
-        "table_d5_csv", "table_d5_json",
+        "table_d5_csv", "table_d5_json", "table_d5_product_weyman_csv",
     ],
 )
 def test_golden_bytes(capsys, argv, digest):
@@ -1048,3 +1084,22 @@ def test_traced_layer_functions_exist():
         module = importlib.import_module(f"grassmult.{layer}")
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_line_counts_script_adds_up():
+    # Every size claim rests on this script: it exits 0 with one row per
+    # module of the package, then one per module under tests/, and each
+    # table's total row is the sum of the rows above it.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "line_counts.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    tables = [block.splitlines() for block in proc.stdout.split("\n\n")]
+    for lines, directory in zip(tables, (root / "src" / "grassmult", root / "tests"), strict=True):
+        header, *rows, total = [line.split() for line in lines]
+        assert header == ["module", "total", "code"]
+        assert [name for name, _, _ in rows] == sorted(path.name for path in directory.glob("*.py"))
+        assert all(int(code) <= int(size) for _, size, code in rows)
+        assert total == ["total", *(str(sum(int(row[k]) for row in rows)) for k in (1, 2))]

@@ -61,6 +61,26 @@ class TestDeltaEval:
         with pytest.raises(ValueError, match="outside 1..2"):
             delta_eval((0, 0), 0, (3, 5))
 
+    def test_checks_each_input_once(self, spy):
+        # The direction and the 3 + 3 column entries are checked once, and
+        # both points are evaluated unchecked: 7 int checks, where two
+        # checked eval_poly calls made 13.
+        expected = eval_poly((0, 1, 0), (1, 4, 6)) - eval_poly((0, 1, 0), (1, 3, 6))
+        checks, evals = spy("_require_int"), spy("_eval_poly", difference)
+        assert delta_eval((0, 1, 0), 2, (1, 4, 6)) == expected != 0
+        assert (len(checks), len(evals)) == (7, 2)
+
+    @pytest.mark.parametrize("args, message", [
+        (((0, 0), 1, (2.5, 4)), "value 2.5 at position 1 is not an integer"),
+        (((0, -1), 1, (3, 5)), "shifts must be nonnegative, got -1 at position 2"),
+        (((0, 0), 1, (3,)), "values and shifts must have equal length, got 1 and 2"),
+        (((0, 0), 3, (2.5, 4)), "direction 3 outside 1..2"),
+    ])
+    def test_refusals_keep_their_messages(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            delta_eval(*args)
+        assert str(caught.value) == message
+
     @given(small_shifts, st.integers(1, 3), st.data())
     @settings(max_examples=50)
     def test_sum_of_deltas_vanishes(self, shifts, q_seed, data):
