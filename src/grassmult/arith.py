@@ -9,6 +9,7 @@ value classes, which every module can import from here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from math import comb, factorial, prod
 
 __all__ = ["InexactDivisionError", "exact_div", "binom", "factorial_superproduct"]
@@ -64,6 +65,15 @@ def _require_int(value, name: str, pos: int | None = None) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         at = "" if pos is None else f" at position {pos}"
         raise ValueError(f"{name} {value!r}{at} is not an integer")
+
+
+def _require_ordered(value, name: str) -> tuple:
+    """The package's one test of a vector input: raise ValueError for a set
+    or a mapping, whose order is its hash table's and not the caller's, and
+    otherwise return value as a tuple. Ordered iterables pass."""
+    if isinstance(value, (Set, Mapping)):
+        raise ValueError(f"{name} must be ordered, got a {type(value).__name__}")
+    return tuple(value)
 
 
 def exact_div(numerator: int, denominator: int) -> int:

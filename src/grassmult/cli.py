@@ -18,6 +18,7 @@ cells), 6 out of memory, 130 interrupted (SIGINT; workers ignore it),
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import random
 import sys
@@ -466,8 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out == "":  # refused here, as _emit would write it to stdout
+        out = args.out
+        if out == "":  # refused here, as _emit would write it to stdout
             raise ValueError("--out needs a path, got ''")
+        if out:
+            # A directory, or a path whose directory cannot be reached, is
+            # refused before any work, with the line _emit would give after it.
+            if os.path.isdir(out):
+                raise ValueError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+            try:
+                os.stat(os.path.join(os.path.dirname(out), "."))
+            except OSError as exc:
+                raise ValueError(f"cannot write {out}: {exc.strerror}") from None
         return args.func(args)
     except (InexactDivisionError, InvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

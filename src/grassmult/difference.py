@@ -14,15 +14,15 @@ determinant table runs it over the halves of its pairs.
 The box checks run the same Laplace steps on packed integers (_box_rows).
 Each left-half value tuple gets one row: an integer that holds its values
 over the right half's sub-box, one signed slot of W = 64 m bits per
-right-half point, with m set per check from a proven integer bound on
-every value and residue, the Laplace steps run on the column maxima. The
-right half's minors are grown packed, one step per column; the left half
-runs _half_minors up to its last column, whose step is taken on the
-packed right minors. No minor vector is formed per point. A step down in
-a right-half direction is a shift by whole slots, and one in a left-half
-direction is an earlier row, so a check forms one residue row per inner
-row with a few big-integer shifts and adds. The row passes when its
-residue is zero on a mask of the inner slots. Only a failing row is
+right-half point, with m set per check from a bound on every value and
+residue: by Hadamard's inequality, the product of the columns' largest
+L1 norms. The right half's minors are grown packed, one step per column;
+the left half runs _half_minors up to its last column, whose step is
+taken on the packed right minors. No minor vector is formed per point.
+A step down in a right-half direction is a shift by whole slots, and one
+in a left-half direction is an earlier row, so a check forms one residue
+row per inner row with a few big-integer shifts and adds. The row passes
+when its residue is zero on a mask of the inner slots. Only a failing row is
 decoded. The checks certify the identities on concrete boxes, exactly,
 and report the first counterexample when one exists.
 """
@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import combinations, product
+from math import prod
 from operator import lshift, mul
 
-from .arith import _Frozen, _require_int, _set_field, binom
+from .arith import _Frozen, _require_int, _require_ordered, _set_field, binom
 from .matrices import _bareiss, _binomial_matrix, _require_columns, _require_shifts
 
 __all__ = [
@@ -74,7 +75,7 @@ def eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
     Integer valued on the whole lattice. At point = i.entries with
     shifts = s_vector(i, j) it equals the multiplicity of the pair.
     """
-    _require_columns(point, shifts)
+    point, shifts = _require_columns(point, shifts)
     return _eval_poly(shifts, point)
 
 
@@ -88,8 +89,7 @@ def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:
     """Partial difference in direction q (1-based): the value at point
     minus the value at point with coordinate q lowered by one."""
     _require_direction(q, len(shifts))
-    t = tuple(point)
-    _require_columns(t, shifts)
+    t, shifts = _require_columns(point, shifts)
     stepped = t[: q - 1] + (t[q - 1] - 1,) + t[q:]
     return _eval_poly(shifts, t) - _eval_poly(shifts, stepped)
 
@@ -101,12 +101,13 @@ def _require_direction(q: int, d: int) -> None:
 
 
 def _require_box(box, d: int) -> tuple[int, int]:
-    """Bounds of the box, checked before any work: integers, nonempty,
-    and at most MAX_BOX_POINTS evaluated points in [lo - 1, hi]^d and
-    packed minor slots, counted as up to 2**d row sets of the right
-    (the larger) half, each with one slot per value tuple of that half."""
+    """Bounds of the box, checked before any work: an ordered pair of
+    integers, nonempty, and at most MAX_BOX_POINTS evaluated points in
+    [lo - 1, hi]^d and packed minor slots, counted as up to 2**d row sets
+    of the right (the larger) half, each with one slot per value tuple of
+    that half."""
     try:
-        lo, hi = box
+        lo, hi = _require_ordered(box, "box")
     except (TypeError, ValueError) as exc:
         raise ValueError("box must be an integer pair (lo, hi)") from exc
     for pos, bound in enumerate((lo, hi), start=1):
@@ -178,18 +179,6 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -
     return out
 
 
-def _minor_bound(columns: dict, shifts: tuple, plan: list) -> list[int]:
-    """An upper bound on |minor| over the box, for each row set of plan's
-    last level: plan's Laplace steps over shifts, run on the largest
-    |entry| of each row of columns[s] (the columns (v, s) of the box's
-    values v) with every sign positive."""
-    out = [1]
-    for s, level in zip(shifts, plan):
-        peak = [max(map(abs, row)) for row in zip(*columns[s])]
-        out = [sum([peak[r] * out[k] for r, k, _ in terms]) for terms in level]
-    return out
-
-
 def _box_rows(d: int, boxes: list, lo: int, hi: int) -> tuple[int, list[list[int]]]:
     """The row kernel: a slot width W = 64 m bits and, for each shift vector
     of boxes, its packed rows over [lo, hi]^d, one per left-half value
@@ -208,20 +197,25 @@ def _box_rows(d: int, boxes: list, lo: int, hi: int) -> tuple[int, list[list[int
     whose prefix minor L_k is not zero, and row (prefix, u) is the sum over
     r of column u's entry r times H_r.
 
-    m is the least whose slots hold each right minor bound and (2d + 1) V,
-    where V, the sum over R of the _minor_bound of the left and the right
-    minor on R, bounds every value: a residue is at most 2d V in the
-    difference check and 3 V in the shift check. One memo serves every
-    box; it keeps the left prefixes and each column (v, s), built once for
-    the bound and the packing."""
+    m is the least whose signed slots hold (2d + 1) V. Here N(s) is the
+    largest sum of |entries| over the columns (v, s) of the box's values v,
+    and V is the product of N(s_q) over q, at its largest over boxes. Every
+    value is the determinant of its columns (t_q, s_q), so by Hadamard's
+    inequality it is at most the product of their L1 norms, at most V;
+    every half minor is at most V on the same grounds. The packed integers
+    are exact integer sums, so a slot only has to fit where it is decoded or
+    tested with _scan's offset: a slot of a value row is at most V, and one
+    of a residue row at most 2d V in the difference check and 3 V in the
+    shift check. Raising a shift only drops entries from a column, so N(s)
+    never grows with s. One memo serves every box; it keeps the left
+    prefixes and each column (v, s), built once for the bound and the
+    packing."""
     memo: dict = {}
     span = range(lo, hi + 1)
     h, left_plan, right_plan = _extension_plan(d)
     columns = {s: [_column(memo, v, s, d) for v in span] for s in set().union(*boxes)}
-    bound = 0
-    for t in boxes:
-        left, right = _minor_bound(columns, t[:h], left_plan), _minor_bound(columns, t[h:], right_plan)
-        bound = max(bound, *right, (2 * d + 1) * sum(map(mul, left, right)))
+    norm = {s: max(sum(map(abs, col)) for col in cols) for s, cols in columns.items()}
+    bound = (2 * d + 1) * max(prod(map(norm.get, t)) for t in boxes)
     width = 64 * (bound.bit_length() // 64 + 1)
     out = []
     for shifts in boxes:

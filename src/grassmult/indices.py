@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 
-from .arith import _Frozen, _require_int, _set_field
+from .arith import _Frozen, _require_int, _require_ordered, _set_field
 
 __all__ = [
     "GrassmannIndex",
@@ -48,9 +48,10 @@ def validate(entries: Sequence[int], n: int) -> GrassmannIndex:
     """Build an index after checking every defining constraint.
 
     Raises ValueError naming the first offending position. Entries must
-    be ints already: floats, bools and strings are rejected, not coerced.
+    be ints already, in order: floats, bools, strings and sets are
+    rejected, not coerced.
     """
-    tup = tuple(entries)
+    tup = _require_ordered(entries, "index vector")
     if not tup:
         raise ValueError("index vector must not be empty")
     _require_int(n, "n")

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import prod
 
-from .arith import _require_int, binom, exact_div
+from .arith import _require_int, _require_ordered, binom, exact_div
 
 __all__ = [
     "determinant_bareiss",
@@ -31,18 +31,21 @@ Matrix = list[list[int]]
 COFACTOR_MAX_ORDER = 10
 
 
-def _require_square(rows: Sequence[Sequence[int]]) -> int:
-    """The one check of a matrix: square, of order at least 1, and every
-    entry an integer. Returns the order."""
-    order = len(rows)
+def _require_square(rows: Sequence[Sequence[int]]) -> Matrix:
+    """The one check of a matrix: ordered rows of ordered entries, square,
+    of order at least 1, and every entry an integer. Returns a fresh copy
+    as a list of row lists."""
+    rows = _require_ordered(rows, "matrix")
+    a = [list(_require_ordered(row, f"row {r}")) for r, row in enumerate(rows)]
+    order = len(a)
     if order == 0:
         raise ValueError("matrix order must be >= 1")
-    for r, row in enumerate(rows):
+    for r, row in enumerate(a):
         if len(row) != order:
             raise ValueError(f"row {r} has {len(row)} entries, expected {order}")
         for pos, entry in enumerate(row, start=1):
             _require_int(entry, f"row {r} entry", pos)
-    return order
+    return a
 
 
 def determinant_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -54,8 +57,7 @@ def determinant_bareiss(rows: Sequence[Sequence[int]]) -> int:
     pivot, which the Bareiss identity guarantees to be exact; a remainder
     would mean corrupted arithmetic and raises InexactDivisionError.
     """
-    _require_square(rows)
-    return _bareiss([list(row) for row in rows])
+    return _bareiss(_require_square(rows))
 
 
 def _bareiss(a: Matrix) -> int:
@@ -92,12 +94,12 @@ def determinant_cofactor(rows: Sequence[Sequence[int]]) -> int:
 
     Guarded to order <= 10; the cost is factorial beyond that.
     """
-    order = _require_square(rows)
-    if order > COFACTOR_MAX_ORDER:
+    a = _require_square(rows)
+    if len(a) > COFACTOR_MAX_ORDER:
         raise ValueError(
-            f"cofactor expansion guarded to order <= {COFACTOR_MAX_ORDER}, got {order}"
+            f"cofactor expansion guarded to order <= {COFACTOR_MAX_ORDER}, got {len(a)}"
         )
-    return _cofactor([list(row) for row in rows])
+    return _cofactor(a)
 
 
 def _cofactor(a: Matrix) -> int:
@@ -120,7 +122,7 @@ def _cofactor(a: Matrix) -> int:
 def _require_shifts(shifts: Sequence[int]) -> tuple[int, ...]:
     """The one check of a shift vector: a non-empty vector of integers, none
     negative. Returns it as a tuple."""
-    out = tuple(shifts)
+    out = _require_ordered(shifts, "shifts")
     if not out:
         raise ValueError("need at least one column")
     for pos, s in enumerate(out, start=1):
@@ -130,23 +132,25 @@ def _require_shifts(shifts: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _require_columns(values: Sequence[int], shifts: Sequence[int]) -> None:
+def _require_columns(values: Sequence[int], shifts: Sequence[int]) -> tuple[tuple, tuple]:
     """The one check of a column specification: values and shifts are
-    equally long, the shifts pass _require_shifts, the values are integers."""
+    ordered and equally long, the shifts pass _require_shifts, the values
+    are integers. Returns both as tuples."""
+    values = _require_ordered(values, "values")
     if len(values) != len(shifts):
         raise ValueError(
             f"values and shifts must have equal length, got {len(values)} and {len(shifts)}"
         )
-    _require_shifts(shifts)
+    shifts = _require_shifts(shifts)
     for pos, v in enumerate(values, start=1):
         _require_int(v, "value", pos)
+    return values, shifts
 
 
 def build_binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matrix:
     """Matrix whose column q holds binom(values[q], p - shifts[q]) for rows
     p = 0..d-1; the carrier of the determinant route for multiplicities."""
-    _require_columns(values, shifts)
-    return _binomial_matrix(values, shifts)
+    return _binomial_matrix(*_require_columns(values, shifts))
 
 
 def _binomial_matrix(values: Sequence[int], shifts: Sequence[int]) -> Matrix:
@@ -160,7 +164,7 @@ def build_shifted_vandermonde_matrix(
     """Matrix with entry (p, q) = binom(values[q] + offsets[q], p) for rows
     p = 0..d-1; its determinant times 1! 2! ... (d-1)! equals the
     Vandermonde product of the shifted values."""
-    _require_columns(values, offsets)
+    values, offsets = _require_columns(values, offsets)
     shifted = [v + k for v, k in zip(values, offsets)]
     return [[binom(c, p) for c in shifted] for p in range(len(shifted))]
 
@@ -169,6 +173,7 @@ def vandermonde(values: Sequence[int]) -> int:
     """Product of pairwise differences values[p] - values[q] over p > q,
     computed directly as a product (never via a determinant); 1 on empty
     input, 0 when two entries coincide."""
+    values = _require_ordered(values, "values")
     for pos, v in enumerate(values, start=1):
         _require_int(v, "value", pos)
     return _vandermonde(values)

@@ -44,7 +44,7 @@ from itertools import filterfalse
 from math import comb
 from operator import getitem, le, mul
 
-from .arith import _Frozen, _require_int, _set_field, _superproduct, binom, exact_div
+from .arith import _Frozen, _require_int, _require_ordered, _set_field, _superproduct, binom, exact_div
 from .difference import _eval_poly, _extension_plan, _half_minors
 from .indices import GrassmannIndex, leq
 from .matrices import _bareiss, _require_columns, _vandermonde
@@ -261,8 +261,8 @@ def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> 
     At an index pair's shifts and entries this is the multiplicity; the
     expression itself is defined for every integer point.
     """
-    _require_columns(point, shifts)
-    return _vandermonde_sum({}, tuple(shifts), tuple(point))
+    point, shifts = _require_columns(point, shifts)
+    return _vandermonde_sum({}, shifts, point)
 
 
 def _vandermonde_sum(memo: dict, shifts: tuple[int, ...], point: tuple[int, ...]) -> int:
@@ -338,7 +338,7 @@ def frobenius_coordinates(partition: Sequence[int]) -> FrobeniusCoordinates:
     lengths and beta the leg lengths of the diagonal hooks, the latter
     read off the conjugate partition.
     """
-    parts = tuple(partition)
+    parts = _require_ordered(partition, "partition")
     for pos, part in enumerate(parts):
         _require_int(part, "partition entry", pos + 1)
         if part < 0:

@@ -901,6 +901,39 @@ def test_empty_out_is_refused(capsys, monkeypatch, spy, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "4", "--i", "2,4", "--j", "1,2"),
+    ("table", "--d", "2", "--n", "4"),
+    ("verify", "--d", "2", "--n", "4"),
+    ("bench", "--d", "2", "--n", "4"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target, reason", [
+    ("made", "Is a directory"),
+    ("made/", "Is a directory"),
+    ("nosuch/dir/x.csv", "No such file or directory"),
+    ("made/afile/x.csv", "Not a directory"),
+], ids=["directory", "directory-slash", "missing-directory", "file-as-directory"])
+def test_out_that_cannot_be_a_file_is_refused(
+    capsys, monkeypatch, spy, tmp_path, argv, target, reason
+):
+    # A directory, or a path in a directory that does not exist, cannot
+    # take the output. It is refused before any work, with the line that
+    # the failed write after the work would give: exit 2, no output, and
+    # nothing made.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "made").mkdir()
+    (tmp_path / "made" / "afile").write_text("old\n", encoding="utf-8")
+    sweeps, evaluations = spy("_sweep", cli), spy("_evaluate", cli)
+    assert run_cli(capsys, *argv, "--out", target) == (
+        2, "", f"error: cannot write {target}: {reason}\n"
+    )
+    assert sweeps == evaluations == []
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == [
+        "made", "made/afile"
+    ]
+    assert (tmp_path / "made" / "afile").read_text(encoding="utf-8") == "old\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ("table", "--d", "2", "--n", "4"), ("verify", "--d", "1", "--n", "2"),

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import grassmult
 from grassmult import difference, matrices
 from grassmult.arith import binom
 from grassmult.difference import (
@@ -16,7 +18,6 @@ from grassmult.difference import (
     _column,
     _extension_plan,
     _half_minors,
-    _minor_bound,
     check_difference_eq,
     check_shift_identity,
     delta_eval,
@@ -206,24 +207,40 @@ class TestBoxValues:
             st.integers(0, 2 if d == 5 else 3),
         ))
     )
+    # V = (2**31 + 1)**2 fits a 64-bit slot, but 5 V does not.
+    @example(((0, 0), 2**31, 0))
     @settings(max_examples=60, deadline=None)
     def test_rows_decode_and_the_bound_holds(self, case):
-        # The packed rows decode to eval_poly, slot by slot, and the Laplace
-        # steps on column maxima bound each half's minors, which
-        # _half_minors gives exactly at every value tuple of the half.
+        # The packed rows decode to eval_poly, slot by slot. N(s), the
+        # largest column L1 norm over the box, bounds them: the product of
+        # N over all shifts bounds every value, (2d + 1) times it fits a
+        # signed slot, and each half's product bounds every minor that
+        # _half_minors gives at the value tuples of that half.
         shifts, lo, extent = case
         d, span = len(shifts), range(lo, lo + extent + 1)
         width, (rows,) = _box_rows(d, [shifts], lo, lo + extent)
         count = len(span) ** (d - d // 2)
         decoded = [v for row in rows for v in slots(row, width, count)]
         assert decoded == [eval_poly(shifts, t) for t in product(span, repeat=d)]
+        norm = {s: max(sum(abs(binom(v, p - s)) for p in range(d)) for v in span) for s in shifts}
+        bound = prod(map(norm.get, shifts))
+        assert max(map(abs, decoded)) <= bound
+        assert (2 * d + 1) * bound < 2 ** (width - 1)
         h, *plans = _extension_plan(d)
-        columns = {s: [_column({}, v, s, d) for v in span] for s in shifts}
         for part, plan in zip((shifts[:h], shifts[h:]), plans):
             minors = [_half_minors({}, u, part, plan, d) for u in product(span, repeat=len(part))]
-            exact = [max(map(abs, minor)) for minor in zip(*minors)]
-            bound = _minor_bound(columns, part, plan)
-            assert all(b >= e for b, e in zip(bound, exact, strict=True))
+            assert max(abs(m) for minor in minors for m in minor) <= prod(map(norm.get, part))
+
+    def test_benchmark_boxes_fit_one_word(self):
+        # Raising a shift only drops entries from a column, so N(s) never
+        # grows with s, and the all-zero shifts have the largest column
+        # norms of every shift vector in {0..4}^4 and of every raised one.
+        # So this call's bound is the largest of all 2 500 box_identities
+        # cases on [-5, 6]^4 (rows over [-6, 6]), both boxes of each shift
+        # check included: (2d + 1) V = 9 * 84**4 has 29 bits, so all of
+        # them run on 64-bit slots.
+        width, _ = _box_rows(4, [(0, 0, 0, 0), (0, 0, 0, 1)], -6, 6)
+        assert width == 64
 
     def test_minor_count(self, op_calls, spy):
         # No determinant and no minor vector per point: one memo entry per
@@ -398,6 +415,13 @@ class TestRejectsCoercion:
             ((False, 2), "box bound False at position 1 is not an integer"),
             ((1, 2, 3), "integer pair"),
             (4, "integer pair"),
+            # A set would be unpacked in its hash table's order, {1, -1}
+            # as lo = 1 and hi = -1, so it is no (lo, hi) pair.
+            ({-5, 6}, "integer pair"),
+            ({1, -1}, "integer pair"),
+            ({-3, 4}, "integer pair"),
+            (frozenset((-2, 2)), "integer pair"),
+            ({-2: 0, 2: 0}, "integer pair"),
         ],
     )
     def test_box(self, box, match):
@@ -410,3 +434,50 @@ class TestRejectsCoercion:
     def test_direction(self, q):
         with pytest.raises(ValueError, match="direction .* is not an integer"):
             check_shift_identity((0, 1), q, (-2, 2))
+
+    @pytest.mark.parametrize("name, args, message", [
+        pytest.param("eval_poly", ((0, 1), {2, 4}), "values must be ordered, got a set",
+                     id="eval_poly-point"),
+        pytest.param("eval_poly", ({1, 0}, (2, 4)), "shifts must be ordered, got a set",
+                     id="eval_poly-shifts"),
+        pytest.param("delta_eval", ((0, 0), 1, {3, 5}), "values must be ordered, got a set",
+                     id="delta_eval"),
+        pytest.param("check_difference_eq", ({0, 1}, (-2, 2)), "shifts must be ordered",
+                     id="check_difference_eq"),
+        pytest.param("check_shift_identity", ({0, 1}, 1, (-2, 2)), "shifts must be ordered",
+                     id="check_shift_identity"),
+        pytest.param("alternating_vandermonde_sum", ({0, 1}, (2, 4)),
+                     "shifts must be ordered", id="alternating_vandermonde_sum"),
+        pytest.param("build_binomial_matrix", ({2, 4}, (0, 0)), "values must be ordered",
+                     id="build_binomial_matrix"),
+        pytest.param("build_shifted_vandermonde_matrix", ((2, 4), {0, 1}),
+                     "shifts must be ordered", id="build_shifted_vandermonde_matrix"),
+        pytest.param("vandermonde", ({3, 1},), "values must be ordered, got a set",
+                     id="vandermonde"),
+        pytest.param("vandermonde", ({3: 0, 1: 0},), "values must be ordered, got a dict",
+                     id="vandermonde-dict"),
+        pytest.param("validate", ({4, 2}, 5), "index vector must be ordered, got a set",
+                     id="validate"),
+        pytest.param("frobenius_coordinates", (frozenset((3, 1)),),
+                     "partition must be ordered, got a frozenset", id="frobenius_coordinates"),
+        pytest.param("determinant_bareiss", ({(1, 2), (3, 4)},), "matrix must be ordered",
+                     id="determinant_bareiss"),
+        pytest.param("determinant_bareiss", ([(1, 2), {3, 4}],), "row 1 must be ordered",
+                     id="determinant_bareiss-row"),
+        pytest.param("determinant_cofactor", ({(1, 2), (3, 4)},), "matrix must be ordered",
+                     id="determinant_cofactor"),
+    ])
+    def test_unordered_vectors(self, name, args, message):
+        # A set or a mapping has no order of the caller's, only its hash
+        # table's, so every door check that reads a vector refuses it.
+        with pytest.raises(ValueError, match=message):
+            getattr(grassmult, name)(*args)
+
+    def test_ordered_iterables_pass(self):
+        # A door check reads an iterable once and the call works on what it
+        # read, so a generator or an iterator gives the tuple's value.
+        assert eval_poly([0, 0], iter((2, 4))) == 2
+        assert delta_eval((0, 0), 1, (t for t in (3, 5))) == -1
+        assert grassmult.vandermonde(t for t in (3, 1)) == -2
+        assert str(grassmult.validate(range(2, 5, 2), 5)) == "2-4"
+        assert determinant_bareiss(iter([iter((1, 2)), (3, 4)])) == -2
