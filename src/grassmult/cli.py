@@ -23,8 +23,11 @@ import os
 import random
 import sys
 import time
+from collections import deque
 from collections.abc import Iterator
+from itertools import repeat
 from math import comb
+from operator import add
 
 from .arith import InexactDivisionError, _require_int, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
@@ -45,6 +48,9 @@ from .multiplicity import (
 # Largest n a sweep runs without --force; sweeps grow like C(n, d)^2.
 GUARD = 12
 CSV_HEADER = "n,d,i,j,route,value\n"
+
+
+_consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
 
 class GuardExceededError(ValueError):
@@ -72,16 +78,14 @@ def _normalize_routes(route_args) -> tuple[str, ...] | None:
     return None
 
 
-def _row(fmt: str, n: int, d: int, i: str, j: str, route: str, value: int | str) -> str:
-    """One row as its final text: a CSV line, or the object that
-    json.dumps(rows, indent=2) writes for it (no field needs escaping).
-    With "%s" for i and value, it is the template of every row of (j, route)."""
-    if fmt == "csv":
-        return f"{n},{d},{i},{j},{route},{value}\n"
-    return (
-        f'  {{\n    "n": {n},\n    "d": {d},\n    "i": "{i}",\n    "j": "{j}",\n'
-        f'    "route": "{route}",\n    "value": "{value}"\n  }}'
-    )
+# A row's text in three parts, by format: a head per i, a tail per (j, route)
+# and an end per value. Together they make a CSV line, or the object that
+# json.dumps(rows, indent=2) writes for the row (no field needs escaping).
+_ROWS = {
+    "csv": ("{n},{d},{i},", "{j},{route},", "{}\n"),
+    "json": ('  {{\n    "n": {n},\n    "d": {d},\n    "i": "{i}",\n',
+             '    "j": "{j}",\n    "route": "{route}",\n    "value": "', '{}"\n  }}'),
+}
 
 
 def _document(chunks: list[str], fmt: str) -> list[str]:
@@ -155,7 +159,8 @@ def cmd_compute(args) -> int:
                 raise RouteInapplicableError(refusal)
     values = [_evaluate(r, i, j) for r in routes]
     _require_multiplicity(min(values))
-    rows = [_row(args.format, args.n, i.d, str(i), str(j), r, v) for r, v in zip(routes, values)]
+    row = "".join(_ROWS[args.format])
+    rows = [row.format(v, n=args.n, d=i.d, i=i, j=j, route=r) for r, v in zip(routes, values)]
     _emit(_document(rows, args.format), args.out)
     return 0
 
@@ -233,14 +238,15 @@ def run_table(
 ) -> list[str]:
     """The pieces of one CSV or JSON document: for every pair j <= i of
     I(d, n), lexicographic by i then j, one row per requested route that
-    covers the pair, in route order. With jobs > 1 the workers are forked
-    with os.fork, which is safe only in a process that runs no other
-    thread, as the CLI does."""
+    covers the pair, in route order. A sweep column covers the tail of its
+    cell's ranks of its own length, and each value is filed under the i of
+    that tail. With jobs > 1 the workers are forked with os.fork, which is
+    safe only in a process that runs no other thread, as the CLI does."""
     _check_guard(d, n, force)
     _require_int(jobs, "--jobs")
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    if fmt not in ("csv", "json"):
+    if fmt not in _ROWS:
         raise ValueError(f"--format must be csv or json, got {fmt!r}")
     if not routes or not all(r in ROUTES for r in routes) or len(set(routes)) < len(routes):
         raise ValueError(f"--route needs one or more routes, none unknown or repeated, got {routes!r}")
@@ -254,20 +260,25 @@ def run_table(
     shares, children = [_sweep(*payloads[0])], {}
     try:
         shares += [_fork_share(payload, children) for payload in payloads[1:]]
-        # Each value is filed under its i with its (j, route) template, in
-        # cell order. Every j <= i precedes i in rank, so i's rows are all
-        # filed once cell i is read: they are rendered then, as one chunk.
-        filed: list = [[] for _ in names]
-        chunks, sep = [], "" if fmt == "csv" else ",\n"
+        # Each value is filed under its i with its (j, route) tail, in cell
+        # order. Every j <= i precedes i in rank, so i's rows are all filed
+        # once cell i is read: they are rendered then, as one chunk.
+        head, tail, end = _ROWS[fmt]
+        # filed[r]: tail, value, tail, value, ... of the rows of i = r so far
+        filed, texts, chunks, sep = [[] for _ in names], {}, [], "" if fmt == "csv" else ",\n"
         for c, name in enumerate(names):
             ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
             for route, column in zip(routes, columns):
-                template = _row(fmt, n, d, "%s", name, route, "%s")
-                for r, value in zip(ranks, column):
-                    if value is not None:
-                        filed[r] += template, value
-            rows, filed[c] = iter(filed[c]), None
-            chunks.append(sep.join(template % (name, value) for template, value in zip(rows, rows)))
+                covered = ranks[len(ranks) - len(column):]  # the pairs that column covers
+                pairs = zip(repeat(tail.format(j=name, route=route)), column)
+                _consume(map(list.extend, map(filed.__getitem__, covered), pairs))
+            tails, values, filed[c] = filed[c][::2], filed[c][1::2], None
+            new = set(values).difference(texts)  # each value's text is made once
+            texts.update(zip(new, map(end.format, new)))
+            first = head.format(n=n, d=d, i=name)
+            if tails:  # the head opens i's first row, and sep and the head every other
+                tails[0] = first + tails[0]
+            chunks.append((sep + first).join(map(add, tails, map(texts.__getitem__, values))))
         return _document(chunks, fmt)
     finally:
         if children:
@@ -330,23 +341,29 @@ def run_verification(d: int, n: int, seed: int = 0, force: bool = False) -> dict
     pair, on every pair j <= i of I(d, n), then run the seeded random
     identity suites. The report is the dict that verify --format json
     writes. The sweep checks every value to be a multiplicity: a value
-    below 1 raises InvariantError. Like run_table, it refuses n above
-    GUARD unless force is set."""
+    below 1 raises InvariantError. Each route's column is compared whole
+    with the tail of the determinant column that it covers, and a cell is
+    walked pair by pair only when one differs, so mismatches come by j,
+    then i, then route. Like run_table, it refuses n above GUARD unless
+    force is set."""
     _check_guard(d, n, force)
     _require_int(seed, "--seed")
     start = time.perf_counter()
     names = [str(i) for i in enumerate_indices(d, n)]
     pairs_checked, mismatches = 0, []
     # ROUTES starts with the determinant, which covers every pair.
-    for c, (ranks, columns) in enumerate(_sweep(d, n, range(len(names)), ROUTES)):
+    for c, (ranks, (dets, *others)) in enumerate(_sweep(d, n, range(len(names)), ROUTES)):
         pairs_checked += len(ranks)
-        for r, det, *others in zip(ranks, *columns):
-            for route, value in zip(ROUTES[1:], others):
-                if value is not None and value != det:
-                    mismatches.append(dict(
-                        i=names[r], j=names[c], route_a=ROUTE_DETERMINANT,
-                        value_a=str(det), route_b=route, value_b=str(value),
-                    ))
+        if any(column != dets[len(dets) - len(column):] for column in others):
+            # A pair that a route does not cover reads None in its column.
+            padded = ([None] * (len(dets) - len(column)) + column for column in others)
+            for r, det, *values in zip(ranks, dets, *padded):
+                for route, value in zip(ROUTES[1:], values):
+                    if value is not None and value != det:
+                        mismatches.append(dict(
+                            i=names[r], j=names[c], route_a=ROUTE_DETERMINANT,
+                            value_a=str(det), route_b=route, value_b=str(value),
+                        ))
     rng = random.Random(seed)
     identities = [_run_identity_suite(rng, *suite) for suite in _IDENTITY_SUITES]
     return {

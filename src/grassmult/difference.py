@@ -88,6 +88,7 @@ def _eval_poly(shifts: Sequence[int], point: Sequence[int]) -> int:
 def delta_eval(shifts: Sequence[int], q: int, point: Sequence[int]) -> int:
     """Partial difference in direction q (1-based): the value at point
     minus the value at point with coordinate q lowered by one."""
+    shifts = _require_ordered(shifts, "shifts")
     _require_direction(q, len(shifts))
     t, shifts = _require_columns(point, shifts)
     stepped = t[: q - 1] + (t[q - 1] - 1,) + t[q:]

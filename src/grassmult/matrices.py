@@ -136,7 +136,7 @@ def _require_columns(values: Sequence[int], shifts: Sequence[int]) -> tuple[tupl
     """The one check of a column specification: values and shifts are
     ordered and equally long, the shifts pass _require_shifts, the values
     are integers. Returns both as tuples."""
-    values = _require_ordered(values, "values")
+    values, shifts = _require_ordered(values, "values"), _require_ordered(shifts, "shifts")
     if len(values) != len(shifts):
         raise ValueError(
             f"values and shifts must have equal length, got {len(values)} and {len(shifts)}"

@@ -432,19 +432,20 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
 
 def _sweep(
     d: int, n: int, cells: Sequence[int], routes: Sequence[str]
-) -> Iterator[tuple[list[int], list[list[int | None]]]]:
+) -> Iterator[tuple[list[int], list[list[int]]]]:
     """For each cell j of cells, given by its rank in I(d, n) in the
     lexicographic order enumerate_indices yields: the up-set {i >= f} of
     the least floor f that the routes have at j (see _floor) as increasing
-    ranks, walked once by _walk, and one column per route, aligned with
-    those ranks. The pairs a route covers are the tail from its own
-    floor's rank on, found by one bisection per cell and route: its column
-    holds None before that rank and the route's value from it on, and no
-    pair's scope is tested. A cell that no route covers is not walked and
-    yields no rank. Every i is >= j by construction, so no route checks
-    containment per pair and none builds an index. Each column is checked
-    once as it is handed out: its least value must be a multiplicity, or
-    InvariantError is raised. routes names routes of ROUTES, each once, as
+    ranks, walked once by _walk, and one column per route. The pairs a
+    route covers are the tail of those ranks from its own floor's rank on,
+    found by one bisection per cell and route, and its column holds the
+    route's values on that tail only: it is aligned with
+    ranks[len(ranks) - len(column):], and no pair's scope is tested. A
+    cell that no route covers is not walked and yields no rank. Every i is
+    >= j by construction, so no route checks containment per pair and none
+    builds an index. Each column is checked once as it is handed out: its
+    least value, if it has one, must be a multiplicity, or InvariantError
+    is raised. routes names routes of ROUTES, each once, as
     every caller has checked: no name is checked here.
 
     One lattice of I(d, n) and one table of rank weights (_weights) are
@@ -456,7 +457,8 @@ def _sweep(
     weyman read: product's pairs are separated (s = 0), and weyman's value
     depends on i alone. Every route but the recurrence keeps its own values
     by key for this call and evaluates a class once, in the one miss loop,
-    decoding its key only then (i from the lattice, s from the digits): the
+    decoding its key only then (i from the lattice, s from the digits, each
+    code met decoded once per call; s_q <= d - 1 - q leaves at most d!): the
     determinant by mult_det's column split, with a half-minor memo per half
     for this call; the sum by its prefix-term engine, with a prefix memo
     per cell; product and weyman by their engines on i, once per i. The
@@ -470,7 +472,7 @@ def _sweep(
     h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo = {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
-    base = d**d if keyed else 1
+    base, codes = d**d if keyed else 1, {}  # codes: each shift code met, as its s
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
         left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
@@ -488,7 +490,7 @@ def _sweep(
         ranks = list(map(base.__rfloordiv__, keys)) if keyed else keys
         memo, columns = {}, []  # the sum's prefix memo lives for one cell
         for route, floor in zip(routes, floors):
-            past = floor is None or floor[-1] > n  # no rank: the column is all None
+            past = floor is None or floor[-1] > n  # no rank: the column is empty
             skip = len(ranks) if past else bisect_left(ranks, sum(map(getitem, weights, floor)))
             if route == ROUTE_RECURRENCE:
                 _recurrence(lattice, js, ranks, rec_values)
@@ -497,8 +499,9 @@ def _sweep(
                 (values, engine), tail = tables[route], keys[skip:]
                 for key in filterfalse(values.__contains__, tail):  # decode each new class
                     r, code = divmod(key, base)
-                    values[key] = engine(lattice[r][0], tuple(code // d**q % d for q in range(d)))
-            column = [None] * skip + list(map(values.__getitem__, tail))
-            _require_multiplicity(min(column[skip:], default=1))
+                    s = codes.get(code) or codes.setdefault(code, tuple(code // d**q % d for q in range(d)))
+                    values[key] = engine(lattice[r][0], s)
+            column = list(map(values.__getitem__, tail))
+            _require_multiplicity(min(column, default=1))
             columns.append(column)
         yield ranks, columns

@@ -37,6 +37,18 @@ from grassmult.cli import (
 )
 
 
+def ignores_sigint(pids):
+    """Whether one of pids is a live process whose /proc status shows
+    SIGINT ignored."""
+    for pid in pids:
+        with contextlib.suppress(OSError):
+            status = Path(f"/proc/{pid}/status").read_text()
+            mask = int(status.split("SigIgn:")[1].split()[0], 16)
+            if mask >> (signal.SIGINT - 1) & 1:
+                return True
+    return False
+
+
 def memos(calls):
     """The distinct memo dicts that calls recorded by spy were handed, in first-use order."""
     return list({id(args["memo"]): args["memo"] for args, _ in calls}.values())
@@ -215,7 +227,7 @@ class TestTable:
     def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch, spy):
         # A worker's payload is _sweep's arguments, cells by rank: no index
         # object, map or list is handed to a worker. A worker sends back
-        # _sweep's ranks and values, ints and None, and no text. Three
+        # _sweep's ranks and values, ints only, and no text. Three
         # workers write the same bytes as one, in either format.
         def holds(value, kinds):
             if isinstance(value, kinds):
@@ -236,7 +248,7 @@ class TestTable:
         assert len(payloads) == 4
         assert not any(holds(p, (grassmult.GrassmannIndex, dict, list)) for p in payloads)
         returned = leaves([cell for _, cell in received])
-        assert returned and all(type(leaf) is int or leaf is None for leaf in returned)
+        assert returned and all(type(leaf) is int for leaf in returned)
 
     def test_recurrence_fills_each_value_once(self, spy):
         # One lattice of the 35 indices serves every cell; each cell fills
@@ -594,7 +606,11 @@ class TestTable:
 
     def test_sigint_exits_without_traceback(self, cli_env):
         # Ctrl-C reaches the whole process group; the forked workers ignore
-        # it and the parent ends the sweep.
+        # it and the parent ends the sweep. The signal is sent once the
+        # parent has forked its worker and the worker ignores SIGINT, as
+        # /proc shows, not after a fixed sleep.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc to see the worker")
         proc = subprocess.Popen(
             [sys.executable, "-m", "grassmult", "table", "--d", "6", "--n", "14", "--force",
              "--route", "recurrence", "--jobs", "2"],
@@ -602,7 +618,11 @@ class TestTable:
             start_new_session=True,
         )
         try:
-            time.sleep(0.5)
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 10
+            while not ignores_sigint(children.read_text().split()):
+                assert time.monotonic() < deadline, "no worker ignoring SIGINT within 10 s"
+                time.sleep(0.01)
             assert proc.poll() is None, "the sweep ended before it was interrupted"
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=30)
@@ -638,12 +658,16 @@ class TestTable:
             proc.stderr.close()
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("d, n, routes", [(4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",))])
+    @pytest.mark.parametrize("d, n, routes", [
+        (4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",)), (4, 11, ("determinant",)),
+    ])
     def test_peak_memory_is_bounded_by_the_output(self, monkeypatch, d, n, routes, jobs):
         # The table holds values until an index's rows are complete, then
         # renders them: its peak stays under 3x the output, where rows held
         # as texts until the end peaked near 6x. A worker's cells reach the
-        # parent one at a time, as its own share does.
+        # parent one at a time, as its own share does. The determinant
+        # table peaks near 1.3x; filing each row's text in place of its
+        # value peaked near 1.75x.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         tracemalloc.start()
         try:
@@ -651,7 +675,8 @@ class TestTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * len("".join(pieces).encode("utf-8"))
+        bound = 1.5 if routes == ("determinant",) else 3
+        assert peak < bound * len("".join(pieces).encode("utf-8"))
 
     def test_pool_size_clamps(self, monkeypatch, spy):
         started = spy("_fork_share", cli)
@@ -668,6 +693,35 @@ class TestTable:
             assert run_table(d, n, jobs=jobs) == run_table(d, n)
             assert len(started) == forks
             started.clear()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("routes", [
+        multiplicity.ROUTES, ("determinant",), ("recurrence", "product"), ("sum", "weyman"),
+        ("product",),
+    ], ids=["all", "determinant", "recurrence_product", "sum_weyman", "product"])
+    def test_rows_match_a_reference_renderer(self, monkeypatch, routes, fmt):
+        # The table against a document built pair by pair from the library's
+        # evaluator and scope, with CSV rows spelled out and JSON written by
+        # json.dumps, under one job and two.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for n in range(1, 7):
+            for d in range(1, min(n, 3) + 1):
+                cells = list(grassmult.enumerate_indices(d, n))
+                rows = [
+                    dict(n=n, d=d, i=str(i), j=str(j), route=route,
+                         value=str(multiplicity._evaluate(route, i, j)))
+                    for i in cells for j in cells if grassmult.leq(j, i)
+                    for route in routes if multiplicity._refusal(route, i, j) is None
+                ]
+                if fmt == "csv":
+                    expected = "n,d,i,j,route,value\n" + "".join(
+                        f"{r['n']},{r['d']},{r['i']},{r['j']},{r['route']},{r['value']}\n"
+                        for r in rows
+                    )
+                else:
+                    expected = json.dumps(rows, indent=2) + "\n"
+                for jobs in (1, 2):
+                    assert "".join(run_table(d, n, routes, fmt, jobs)) == expected, (d, n, jobs)
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(

@@ -478,6 +478,12 @@ class TestRejectsCoercion:
         # read, so a generator or an iterator gives the tuple's value.
         assert eval_poly([0, 0], iter((2, 4))) == 2
         assert delta_eval((0, 0), 1, (t for t in (3, 5))) == -1
+        # Shifts as an iterator too: the direction and the length checks
+        # read the checked tuple, not the caller's object.
+        assert delta_eval(iter((0, 0)), 1, (3, 5)) == delta_eval((0, 0), 1, (3, 5)) == -1
+        assert eval_poly(iter([0, 0]), iter((2, 4))) == 2
+        assert grassmult.alternating_vandermonde_sum(iter([0, 0]), (2, 4)) == 2
+        assert matrices.build_binomial_matrix((2, 4), iter([0, 1])) == [[1, 0], [2, 1]]
         assert grassmult.vandermonde(t for t in (3, 1)) == -2
         assert str(grassmult.validate(range(2, 5, 2), 5)) == "2-4"
         assert determinant_bareiss(iter([iter((1, 2)), (3, 4)])) == -2

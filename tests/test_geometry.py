@@ -59,7 +59,8 @@ def sweep_values(d: int, n: int) -> tuple[list, dict]:
     values: dict = {route: {} for route in ROUTES}
     for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ROUTES)):
         for route, column in zip(ROUTES, columns):
-            values[route].update(((cells[r], j), v) for r, v in zip(ranks, column))
+            covered = ranks[len(ranks) - len(column):]
+            values[route].update(((cells[r], j), v) for r, v in zip(covered, column))
     return cells, values
 
 

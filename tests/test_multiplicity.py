@@ -201,16 +201,20 @@ class TestDeterminantSweep:
         ids=["all", "determinant", "sum"],
     )
     def test_every_column_equals_its_route(self, routes, max_n):
+        # A column holds its route's values on the tail of the ranks that
+        # the route covers, and the pairs before that tail are refused.
         # d = 1 has an empty left half; even d has halves of one key shape
         for n in range(1, max_n + 1):
             for d in range(1, n + 1):
                 cells = list(enumerate_indices(d, n))
                 for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), routes)):
                     above = [cells[r] for r in ranks]
-                    assert columns == [
-                        [None if _refusal(r, i, j) else _evaluate(r, i, j) for i in above]
-                        for r in routes
-                    ]
+                    assert len(columns) == len(routes)
+                    for route, column in zip(routes, columns):
+                        skip = len(above) - len(column)
+                        covers = [_refusal(route, i, j) is None for i in above]
+                        assert covers == [False] * skip + [True] * len(column)
+                        assert column == [_evaluate(route, i, j) for i in above[skip:]]
 
 
 def dual(entries: tuple[int, ...], n: int) -> tuple[int, ...]:
