@@ -609,8 +609,8 @@ class TestTable:
         # it and the parent ends the sweep. The signal is sent once the
         # parent has forked its worker and the worker ignores SIGINT, as
         # /proc shows, not after a fixed sleep.
-        if not os.path.isdir("/proc/self/task"):
-            pytest.skip("needs /proc to see the worker")
+        if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+            pytest.skip("needs /proc's children lists to see the worker")
         proc = subprocess.Popen(
             [sys.executable, "-m", "grassmult", "table", "--d", "6", "--n", "14", "--force",
              "--route", "recurrence", "--jobs", "2"],
