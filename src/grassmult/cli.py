@@ -53,6 +53,19 @@ CSV_HEADER = "n,d,i,j,route,value\n"
 _consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
 
+class _Texts(dict):
+    """A value's row end by value, made by format when first asked for."""
+
+    __slots__ = ("format",)
+
+    def __init__(self, format) -> None:
+        self.format = format
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.format(value)
+        return text
+
+
 class GuardExceededError(ValueError):
     """The requested sweep is larger than the size guard allows."""
 
@@ -239,8 +252,11 @@ def run_table(
     """The pieces of one CSV or JSON document: for every pair j <= i of
     I(d, n), lexicographic by i then j, one row per requested route that
     covers the pair, in route order. A sweep column covers the tail of its
-    cell's ranks of its own length, and each value is filed under the i of
-    that tail. With jobs > 1 the workers are forked with os.fork, which is
+    cell's ranks of its own length, and each value's text is filed under
+    the i of that tail, made once per distinct value per call. The sweep
+    hands out checked values only: a formula value was checked once, when
+    its class was evaluated, and a recurrence column by its least value.
+    With jobs > 1 the workers are forked with os.fork, which is
     safe only in a process that runs no other thread, as the CLI does."""
     _check_guard(d, n, force)
     _require_int(jobs, "--jobs")
@@ -260,25 +276,25 @@ def run_table(
     shares, children = [_sweep(*payloads[0])], {}
     try:
         shares += [_fork_share(payload, children) for payload in payloads[1:]]
-        # Each value is filed under its i with its (j, route) tail, in cell
-        # order. Every j <= i precedes i in rank, so i's rows are all filed
-        # once cell i is read: they are rendered then, as one chunk.
+        # Each value's text is filed under its i with its (j, route) tail,
+        # in cell order. Every j <= i precedes i in rank, so i's rows are all
+        # filed once cell i is read: they are rendered then, as one chunk.
         head, tail, end = _ROWS[fmt]
-        # filed[r]: tail, value, tail, value, ... of the rows of i = r so far
-        filed, texts, chunks, sep = [[] for _ in names], {}, [], "" if fmt == "csv" else ",\n"
+        # filed[r]: tail, text, tail, text, ... of the rows of i = r so far
+        filed, chunks, sep = [[] for _ in names], [], "" if fmt == "csv" else ",\n"
+        texts = _Texts(end.format)  # each value's text, made once
         for c, name in enumerate(names):
             ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
             for route, column in zip(routes, columns):
-                covered = ranks[len(ranks) - len(column):]  # the pairs that column covers
-                pairs = zip(repeat(tail.format(j=name, route=route)), column)
+                # the pairs that column covers: the tail of ranks of its length
+                covered = ranks if len(column) == len(ranks) else ranks[len(ranks) - len(column):]
+                pairs = zip(repeat(tail.format(j=name, route=route)), map(texts.__getitem__, column))
                 _consume(map(list.extend, map(filed.__getitem__, covered), pairs))
-            tails, values, filed[c] = filed[c][::2], filed[c][1::2], None
-            new = set(values).difference(texts)  # each value's text is made once
-            texts.update(zip(new, map(end.format, new)))
+            tails, ends, filed[c] = filed[c][::2], filed[c][1::2], None
             first = head.format(n=n, d=d, i=name)
             if tails:  # the head opens i's first row, and sep and the head every other
                 tails[0] = first + tails[0]
-            chunks.append((sep + first).join(map(add, tails, map(texts.__getitem__, values))))
+            chunks.append((sep + first).join(map(add, tails, ends)))
         return _document(chunks, fmt)
     finally:
         if children:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import filterfalse
 from math import comb
 from operator import getitem, le, mul
 
@@ -240,16 +239,18 @@ def _walk(weights: list, floor: tuple[int, ...], ceil: tuple[int, ...], keyed: b
     K_q[e] = W_q[e] d**d + (d - bisect_right(floor, e)) d**q, so the walk
     builds suffixes from the last coordinate to the first, grouped by first
     value: level q adds K_q[e] to the suffixes whose first value exceeds e,
-    a tail of the level before, which leaves every level in lexicographic
-    order."""
+    a tail of the level before, in one list comprehension per (q, e), which
+    leaves every level in lexicographic order. It makes no value: _sweep
+    checks a formula value once, when its class is evaluated, and the
+    recurrence column by its least value."""
     d, keys, head = len(floor), [0], {}  # the empty suffix, above every value
     base = d**d if keyed else 1
     count = [d - bisect_right(floor, v) for v in range(ceil[-1] + 1)] if keyed else [0] * (ceil[-1] + 1)
     for q in range(d - 1, -1, -1):
         table, level, at, place = weights[q], [], {}, d**q
         for e in range(floor[q], ceil[q] + 1):
-            at[e] = len(level)
-            level += map((table[e] * base + count[e] * place).__add__, keys[head.get(e + 1, 0):])
+            at[e], k = len(level), table[e] * base + count[e] * place
+            level += [k + key for key in keys[head.get(e + 1, 0):]]
         keys, head = level, at
     return keys
 
@@ -430,6 +431,30 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
     raise ValueError(f"unknown route {route!r}")
 
 
+class _Values(dict):
+    """One formula route's values for one sweep, by class key (see
+    _sweep). A key met for the first time is decoded, i from the lattice's
+    tuple at rank key // base and s from the base-d digits of key % base
+    (each code decoded once per sweep, into codes), evaluated by the
+    route's engine on (i's entries, s), and its value checked, once, to be
+    a multiplicity."""
+
+    __slots__ = ("engine", "lattice", "base", "codes")
+
+    def __init__(self, engine, lattice: list, base: int, codes: dict) -> None:
+        self.engine, self.lattice, self.base, self.codes = engine, lattice, base, codes
+
+    def __missing__(self, key: int) -> int:
+        r, code = divmod(key, self.base)
+        t, codes = self.lattice[r][0], self.codes
+        d = len(t)
+        s = codes.get(code) or codes.setdefault(code, tuple(code // d**q % d for q in range(d)))
+        value = self.engine(t, s)
+        _require_multiplicity(value)
+        self[key] = value
+        return value
+
+
 def _sweep(
     d: int, n: int, cells: Sequence[int], routes: Sequence[str]
 ) -> Iterator[tuple[list[int], list[list[int]]]]:
@@ -443,10 +468,11 @@ def _sweep(
     ranks[len(ranks) - len(column):], and no pair's scope is tested. A
     cell that no route covers is not walked and yields no rank. Every i is
     >= j by construction, so no route checks containment per pair and none
-    builds an index. Each column is checked once as it is handed out: its
-    least value, if it has one, must be a multiplicity, or InvariantError
-    is raised. routes names routes of ROUTES, each once, as
-    every caller has checked: no name is checked here.
+    builds an index. Every value handed out is checked to be a
+    multiplicity, or InvariantError is raised: a formula route's value
+    once, when its class is evaluated, and the recurrence column by its
+    least value. routes names routes of ROUTES, each once, as every caller
+    has checked: no name is checked here.
 
     One lattice of I(d, n) and one table of rank weights (_weights) are
     built per call, for every route; a floor's rank is the sum of its
@@ -456,15 +482,14 @@ def _sweep(
     it is the bare rank, which decodes to s = 0. That is all product and
     weyman read: product's pairs are separated (s = 0), and weyman's value
     depends on i alone. Every route but the recurrence keeps its own values
-    by key for this call and evaluates a class once, in the one miss loop,
-    decoding its key only then (i from the lattice, s from the digits, each
-    code met decoded once per call; s_q <= d - 1 - q leaves at most d!): the
+    by key for this call, in a _Values that evaluates a class once, on its
+    first lookup (s_q <= d - 1 - q leaves at most d! codes): the
     determinant by mult_det's column split, with a half-minor memo per half
     for this call; the sum by its prefix-term engine, with a prefix memo
     per cell; product and weyman by their engines on i, once per i. The
     recurrence runs its engine on the lattice, with one value list by rank
     that each cell overwrites on the ranks of its up-set. Every column is
-    then read off its route's values, by key or by rank, in one expression.
+    read off its route's values, by key or by rank, in one expression.
     """
     top = tuple(range(n - d + 1, n + 1))
     lattice = _lattice(tuple(range(1, d + 1)), top)
@@ -479,29 +504,26 @@ def _sweep(
         right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
-    tables = {  # per route: its values by class key for this call, and its engine on (t, s)
-        ROUTE_DETERMINANT: ({}, det), ROUTE_SUM: ({}, lambda t, s: _vandermonde_sum(memo, s, t)),
-        ROUTE_PRODUCT: ({}, lambda t, s: _product(t)), ROUTE_WEYMAN: ({}, lambda t, s: _weyman(t)),
+    tables = {  # per route: its values by class key for this call, from its engine on (t, s)
+        route: _Values(engine, lattice, base, codes) for route, engine in (
+            (ROUTE_DETERMINANT, det), (ROUTE_SUM, lambda t, s: _vandermonde_sum(memo, s, t)),
+            (ROUTE_PRODUCT, lambda t, s: _product(t)), (ROUTE_WEYMAN, lambda t, s: _weyman(t)),
+        )
     }
     for c in cells:
         js = lattice[c][0]
         floors = [_floor(route, js) for route in routes]
         keys = _walk(weights, min(filter(None, floors)), top, keyed) if any(floors) else []
-        ranks = list(map(base.__rfloordiv__, keys)) if keyed else keys
+        ranks = [key // base for key in keys] if keyed else keys
         memo, columns = {}, []  # the sum's prefix memo lives for one cell
         for route, floor in zip(routes, floors):
-            past = floor is None or floor[-1] > n  # no rank: the column is empty
-            skip = len(ranks) if past else bisect_left(ranks, sum(map(getitem, weights, floor)))
-            if route == ROUTE_RECURRENCE:
+            if route == ROUTE_RECURRENCE:  # its floor is j, the walk's
                 _recurrence(lattice, js, ranks, rec_values)
-                values, tail = rec_values, ranks
+                column = list(map(rec_values.__getitem__, ranks))
+                _require_multiplicity(min(column))
             else:
-                (values, engine), tail = tables[route], keys[skip:]
-                for key in filterfalse(values.__contains__, tail):  # decode each new class
-                    r, code = divmod(key, base)
-                    s = codes.get(code) or codes.setdefault(code, tuple(code // d**q % d for q in range(d)))
-                    values[key] = engine(lattice[r][0], s)
-            column = list(map(values.__getitem__, tail))
-            _require_multiplicity(min(column, default=1))
+                past = floor is None or floor[-1] > n  # no rank: the column is empty
+                skip = len(ranks) if past else bisect_left(ranks, sum(map(getitem, weights, floor)))
+                column = list(map(tables[route].__getitem__, keys[skip:] if skip else keys))
             columns.append(column)
         yield ranks, columns

@@ -469,6 +469,19 @@ class TestTable:
             assert len(fills) == classes
             assert set(fills) == expected
 
+    def test_values_are_checked_when_made(self, spy):
+        # A formula route checks each value once, when its class is
+        # evaluated, and the recurrence each column once, by its least
+        # value: 105 determinant, 105 sum, 10 product and 35 weyman classes
+        # plus 35 recurrence columns at (3, 7), and the 2 416 determinant
+        # classes of 32 670 pairs at (4, 11). No check is made per pair.
+        checks = spy("_require_multiplicity")
+        run_table(3, 7, multiplicity.ROUTES)
+        assert len(checks) == 105 + 105 + 10 + 35 + 35
+        checks.clear()
+        run_table(4, 11)
+        assert len(checks) == 2416
+
     def test_table_det_digest(self):
         # The table_det gate of the layered benchmark.
         out = "".join(run_table(d=4, n=11))
@@ -869,8 +882,9 @@ class TestVerify:
     ], ids=["determinant"])
     def test_invalid_value_is_an_internal_error(self, capsys, monkeypatch, engine, broken):
         # A value below 1 breaks an invariant of the code, so it is no
-        # verification mismatch: exit 5 and no report. Every other route
-        # is broken in test_every_sweep_command_checks_its_values[verify].
+        # verification mismatch: exit 5 and no report. Every route is
+        # broken alone, in table and bench, in
+        # test_each_route_checks_its_values.
         monkeypatch.setattr(multiplicity, engine, broken)
         code, out, err = run_cli(capsys, "verify", "--d", "2", "--n", "4")
         assert code == 5
@@ -931,12 +945,34 @@ class TestBench:
     ("verify", "--d", "2", "--n", "4"),
 ], ids=lambda argv: argv[0])
 def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
-    # The sweep checks each column as it hands it out, so bench, which
-    # only counts and times the columns, fails on a broken route too.
+    # The sweep checks every value it hands out: a formula value once, when
+    # its class is evaluated, and a recurrence column by its least value.
+    # So bench, which only counts and times the columns, fails on a broken
+    # route too.
     monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
     assert run_cli(capsys, *argv) == (
         5, "", "internal error: multiplicity must be >= 1, got 0\n"
     )
+
+
+@pytest.mark.parametrize("route, engine, broken", [
+    ("determinant", "_half_minors", lambda *args: [0]),
+    ("recurrence", "exact_div", lambda a, b: 0),
+    ("sum", "_vandermonde_sum", lambda *args: 0),
+    ("product", "_product", lambda *args: 0),
+    ("weyman", "_weyman", lambda *args: 0),
+], ids=multiplicity.ROUTES)
+def test_each_route_checks_its_values(capsys, monkeypatch, route, engine, broken):
+    # Each route's own engine is broken alone, so each route's check is
+    # the one that fires: in one job, in a forked worker's share, and in
+    # bench, which hands no value to any renderer.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiplicity, engine, broken)
+    sweep = ("--d", "3", "--n", "6", "--route", route)
+    for argv in (("table", *sweep, "--jobs", "1"), ("table", *sweep, "--jobs", "2"), ("bench", *sweep)):
+        assert run_cli(capsys, *argv) == (
+            5, "", "internal error: multiplicity must be >= 1, got 0\n"
+        ), argv
 
 
 @pytest.mark.parametrize("argv", [
