@@ -4,7 +4,8 @@ All values are Python ints, so magnitude is unbounded and nothing ever
 rounds. A division that is supposed to be exact but leaves a remainder is
 reported as InexactDivisionError; it always indicates a bug upstream,
 never bad input. Also home of _Frozen, the one base of the package's
-value classes, which every module can import from here.
+value classes, and of _Memo, its one dict that makes a missing value,
+which every module can import from here.
 """
 
 from __future__ import annotations
@@ -56,6 +57,20 @@ class _Frozen:
 
 
 _set_field = object.__setattr__
+
+
+class _Memo(dict):
+    """A dict that makes the value of a key met for the first time by
+    make(key), and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _require_int(value, name: str, pos: int | None = None) -> None:

@@ -29,7 +29,7 @@ from itertools import repeat
 from math import comb
 from operator import add
 
-from .arith import InexactDivisionError, _require_int, binom, factorial_superproduct
+from .arith import InexactDivisionError, _Memo, _require_int, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
@@ -51,19 +51,6 @@ CSV_HEADER = "n,d,i,j,route,value\n"
 
 
 _consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
-
-
-class _Texts(dict):
-    """A value's row end by value, made by format when first asked for."""
-
-    __slots__ = ("format",)
-
-    def __init__(self, format) -> None:
-        self.format = format
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = self.format(value)
-        return text
 
 
 class GuardExceededError(ValueError):
@@ -282,7 +269,7 @@ def run_table(
         head, tail, end = _ROWS[fmt]
         # filed[r]: tail, text, tail, text, ... of the rows of i = r so far
         filed, chunks, sep = [[] for _ in names], [], "" if fmt == "csv" else ",\n"
-        texts = _Texts(end.format)  # each value's text, made once
+        texts = _Memo(end.format)  # each value's text, made once
         for c, name in enumerate(names):
             ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
             for route, column in zip(routes, columns):

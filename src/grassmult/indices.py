@@ -35,11 +35,6 @@ class GrassmannIndex(_Frozen):
     def d(self) -> int:
         return len(self.entries)
 
-    @property
-    def weight(self) -> int:
-        """Entry sum; a covering move downward lowers it by one."""
-        return sum(self.entries)
-
     def __str__(self) -> str:
         return "-".join(str(e) for e in self.entries)
 
@@ -103,12 +98,15 @@ def enumerate_indices(d: int, n: int) -> Iterator[GrassmannIndex]:
 def lower_neighbor_entries(
     entries: tuple[int, ...], floor: tuple[int, ...]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """Tuple-level core of lower_neighbors; performs no validation.
+    """The covering moves down from entries that stay above floor, the
+    rule lower_neighbors and the recurrence's lattice both follow; performs
+    no validation.
 
-    Yields (q, entries with position q decremented) for every 1-based
-    position q where the decrement keeps the vector strictly increasing
-    (the entry before position 1 counts as 0) and does not drop below
-    floor.
+    Returns (q, entries with position q decremented), in increasing q, for
+    every 1-based position q where the decrement keeps the vector strictly
+    increasing (the entry before position 1 counts as 0) and does not drop
+    below floor: each lowered vector is strictly increasing and >= floor
+    componentwise.
     """
     out = []
     prev = 0
@@ -125,8 +123,8 @@ def lower_neighbors(
 ) -> list[tuple[int, GrassmannIndex]]:
     """Covering moves downward from i that stay above j.
 
-    Exactly the indices k with j <= k < i whose weight is one less than
-    the weight of i: each differs from i in a single coordinate, by one.
+    Exactly the indices k with j <= k < i whose entry sum is one less
+    than i's: each differs from i in a single coordinate, by one.
     Requires j <= i and i != j.
     """
     if not leq(j, i):

@@ -15,10 +15,11 @@ Routes:
 * ``mult_rec``      the defining recurrence, summing over downward
                     covering moves and dividing by ``degree``; filled by
                     rank in lexicographic order over a lattice whose
-                    covering moves are built once: one pair's interval
-                    [j, i] only, or, for a sweep, the whole index set
-                    once per call. This is the authoritative oracle the
-                    other routes are checked against.
+                    covering moves (lower_neighbor_entries) are built
+                    once: one pair's interval [j, i] only, or, for a
+                    sweep that asks for it, the whole index set once per
+                    call. This is the authoritative oracle the other
+                    routes are checked against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
                     products over a box of offsets, built one coordinate
                     at a time from memoized prefix terms that are dropped
@@ -40,12 +41,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
+from itertools import combinations
 from math import comb
 from operator import getitem, le, mul
 
-from .arith import _Frozen, _require_int, _require_ordered, _set_field, _superproduct, binom, exact_div
+from .arith import _Frozen, _Memo, _require_int, _require_ordered, _set_field, _superproduct, binom, exact_div
 from .difference import _eval_poly, _extension_plan, _half_minors
-from .indices import GrassmannIndex, leq
+from .indices import GrassmannIndex, leq, lower_neighbor_entries
 from .matrices import _bareiss, _require_columns, _vandermonde
 
 __all__ = [
@@ -149,11 +151,10 @@ def mult_rec(i: GrassmannIndex, j: GrassmannIndex) -> int:
 
     Value 1 at i == j; otherwise the sum over downward covering moves that
     stay above j, divided (exactly) by degree. The recurrence engine fills
-    the interval [j, i] by rank, in lexicographic order: a covering move
-    lowers one coordinate, so it always lands on a value filled earlier,
-    and no recursion depth limit applies. Only [j, i] is built, never the
-    whole index set; table sweeps run the engine on one lattice of the
-    whole index set.
+    the lattice of the interval [j, i] by rank, in lexicographic order: a
+    covering move lowers one coordinate, so it always lands on a value
+    filled earlier, and no recursion depth limit applies. Only [j, i] is
+    built, never the whole index set.
     """
     _require_pair(i, j)
     lattice = _lattice(j.entries, i.entries)
@@ -165,37 +166,19 @@ def mult_rec(i: GrassmannIndex, j: GrassmannIndex) -> int:
 def _lattice(floor: tuple[int, ...], ceil: tuple[int, ...]) -> list:
     """The interval [floor, ceil] for the recurrence engine, as one
     (t, lower) per rank in lexicographic order of t: lower holds
-    (q, t_q - 1, back) for each covering move down from t that stays in the
-    interval, q the 0-based position it lowers and rank - back the rank it
-    lands on.
-
-    The tuples with one prefix ending in value e at position q form a
-    block of size[q][e] ranks, which depends on (q, e) alone. The block of
-    e - 1 is the tuples whose next entry is e, then the block of e in the
-    same order, so a move lowering position q from e goes back size[q][e]
-    ranks. size[q] holds e in [floor_q, ceil_q] only, so no table is wider
-    than the interval. Built one coordinate at a time from the first,
-    level by level, each prefix extending its moves alongside its tuple."""
-    size = [dict.fromkeys(range(floor[-1], ceil[-1] + 1), 1)]
-    for q in range(len(floor) - 2, -1, -1):
-        after, row = size[0], {}
-        count = sum(after.values())
-        for e in range(floor[q], ceil[q] + 1):
-            count -= after.get(e, 0)
-            row[e] = count  # completions whose next entry exceeds e
-        size.insert(0, row)
-    first = size[0]
-    level = [
-        ((e,), ((0, e - 1, first[e]),) if e > floor[0] else ())
-        for e in range(floor[0], ceil[0] + 1)
+    (q, t_q - 1, k) for each covering move down from t that stays in the
+    interval (lower_neighbor_entries above floor), q the 0-based position
+    it lowers and k the rank of the tuple it lands on. The tuples are built
+    one coordinate at a time, which keeps them in lexicographic order, and
+    numbered by one dict, read only here."""
+    level = [(e,) for e in range(floor[0], ceil[0] + 1)]
+    for lo, hi in zip(floor[1:], ceil[1:]):
+        level = [t + (e,) for t in level for e in range(max(lo, t[-1] + 1), hi + 1)]
+    rank = {t: r for r, t in enumerate(level)}
+    return [
+        (t, [(q - 1, k[q - 1], rank[k]) for q, k in lower_neighbor_entries(t, floor)])
+        for t in level
     ]
-    for q in range(1, len(floor)):
-        lo, hi, back = floor[q], ceil[q], size[q]
-        level = [
-            (t + (e,), lower + ((q, e - 1, back[e]),) if e > lo and e - 1 > t[-1] else lower)
-            for t, lower in level for e in range(max(lo, t[-1] + 1), hi + 1)
-        ]
-    return level
 
 
 def _recurrence(lattice: list, floor: tuple[int, ...], ranks, values: list) -> None:
@@ -211,9 +194,9 @@ def _recurrence(lattice: list, floor: tuple[int, ...], ranks, values: list) -> N
         divisor = _degree(t, floor_set)
         if divisor:
             total = 0
-            for q, dec, back in lower:
+            for q, dec, k in lower:
                 if dec >= floor[q]:
-                    total += values[r - back]
+                    total += values[k]
             values[r] = exact_div(total, divisor)
         else:
             values[r] = 1
@@ -431,30 +414,6 @@ def _evaluate(route: str, i: GrassmannIndex, j: GrassmannIndex) -> int:
     raise ValueError(f"unknown route {route!r}")
 
 
-class _Values(dict):
-    """One formula route's values for one sweep, by class key (see
-    _sweep). A key met for the first time is decoded, i from the lattice's
-    tuple at rank key // base and s from the base-d digits of key % base
-    (each code decoded once per sweep, into codes), evaluated by the
-    route's engine on (i's entries, s), and its value checked, once, to be
-    a multiplicity."""
-
-    __slots__ = ("engine", "lattice", "base", "codes")
-
-    def __init__(self, engine, lattice: list, base: int, codes: dict) -> None:
-        self.engine, self.lattice, self.base, self.codes = engine, lattice, base, codes
-
-    def __missing__(self, key: int) -> int:
-        r, code = divmod(key, self.base)
-        t, codes = self.lattice[r][0], self.codes
-        d = len(t)
-        s = codes.get(code) or codes.setdefault(code, tuple(code // d**q % d for q in range(d)))
-        value = self.engine(t, s)
-        _require_multiplicity(value)
-        self[key] = value
-        return value
-
-
 def _sweep(
     d: int, n: int, cells: Sequence[int], routes: Sequence[str]
 ) -> Iterator[tuple[list[int], list[list[int]]]]:
@@ -474,46 +433,59 @@ def _sweep(
     least value. routes names routes of ROUTES, each once, as every caller
     has checked: no name is checked here.
 
-    One lattice of I(d, n) and one table of rank weights (_weights) are
-    built per call, for every route; a floor's rank is the sum of its
+    One list of the tuples of I(d, n) by rank and one table of rank weights
+    (_weights) are built per call; a floor's rank is the sum of its
     weights. A pair's value depends on its class (i, s_vector(i, j)) alone,
     and the walk's int key codes that class as rank(i) * d**d plus the
     base-d digits of s when the determinant or the sum is asked for; else
     it is the bare rank, which decodes to s = 0. That is all product and
     weyman read: product's pairs are separated (s = 0), and weyman's value
     depends on i alone. Every route but the recurrence keeps its own values
-    by key for this call, in a _Values that evaluates a class once, on its
-    first lookup (s_q <= d - 1 - q leaves at most d! codes): the
-    determinant by mult_det's column split, with a half-minor memo per half
-    for this call; the sum by its prefix-term engine, with a prefix memo
-    per cell; product and weyman by their engines on i, once per i. The
-    recurrence runs its engine on the lattice, with one value list by rank
-    that each cell overwrites on the ranks of its up-set. Every column is
-    read off its route's values, by key or by rank, in one expression.
+    by key for this call, in a _Memo that evaluates a class once, on its
+    first lookup (s_q <= d - 1 - q leaves at most d! codes, each decoded
+    once): the determinant by mult_det's column split, with a half-minor
+    memo per half for this call; the sum by its prefix-term engine, with a
+    prefix memo per cell; product and weyman by their engines on i, once
+    per i. Only when the recurrence is asked for is the lattice of I(d, n)
+    built, once; its engine fills one value list by rank that each cell
+    overwrites on the ranks of its up-set. Every column is read off its
+    route's values, by key or by rank, in one expression.
     """
-    top = tuple(range(n - d + 1, n + 1))
-    lattice = _lattice(tuple(range(1, d + 1)), top)
-    weights, rec_values = _weights(d, n), [0] * len(lattice)
+    tuples = list(combinations(range(1, n + 1), d))
+    if ROUTE_RECURRENCE in routes:
+        lattice, rec_values = _lattice(tuples[0], tuples[-1]), [0] * len(tuples)
+    weights = _weights(d, n)
     h, left_plan, right_plan = _extension_plan(d)
     left_memo, right_memo = {}, {}
     keyed = ROUTE_DETERMINANT in routes or ROUTE_SUM in routes
-    base, codes = d**d if keyed else 1, {}  # codes: each shift code met, as its s
+    base = d**d if keyed else 1
+    codes = _Memo(lambda code: tuple(code // d**q % d for q in range(d)))  # a shift code's s
 
     def det(t: tuple[int, ...], s: tuple[int, ...]) -> int:
         left = _half_minors(left_memo, t[:h], s[:h], left_plan, d)
         right = _half_minors(right_memo, t[h:], s[h:], right_plan, d)
         return sum(map(mul, left, right))
 
-    tables = {  # per route: its values by class key for this call, from its engine on (t, s)
-        route: _Values(engine, lattice, base, codes) for route, engine in (
+    def checked(engine) -> _Memo:
+        """engine's values by class key for this call, each made from the
+        decoded (t, s) on its key's first lookup and checked then, once."""
+        def make(key: int) -> int:
+            r, code = divmod(key, base)
+            value = engine(tuples[r], codes[code])
+            _require_multiplicity(value)
+            return value
+        return _Memo(make)
+
+    tables = {
+        route: checked(engine) for route, engine in (
             (ROUTE_DETERMINANT, det), (ROUTE_SUM, lambda t, s: _vandermonde_sum(memo, s, t)),
             (ROUTE_PRODUCT, lambda t, s: _product(t)), (ROUTE_WEYMAN, lambda t, s: _weyman(t)),
         )
     }
     for c in cells:
-        js = lattice[c][0]
+        js = tuples[c]
         floors = [_floor(route, js) for route in routes]
-        keys = _walk(weights, min(filter(None, floors)), top, keyed) if any(floors) else []
+        keys = _walk(weights, min(filter(None, floors)), tuples[-1], keyed) if any(floors) else []
         ranks = [key // base for key in keys] if keyed else keys
         memo, columns = {}, []  # the sum's prefix memo lives for one cell
         for route, floor in zip(routes, floors):

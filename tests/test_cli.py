@@ -531,6 +531,14 @@ class TestTable:
             run_table(3, 7, routes, jobs=2)
         assert lattices == forks == []
 
+    @pytest.mark.parametrize("routes", [(route,) for route in multiplicity.ROUTES] + [multiplicity.ROUTES])
+    def test_only_a_recurrence_table_builds_a_lattice(self, spy, routes):
+        # The covering moves serve the recurrence alone; a table of the
+        # other routes reads the indices from a plain list.
+        lattices = spy("_lattice", multiplicity)
+        run_table(3, 7, routes)
+        assert len(lattices) == ("recurrence" in routes)
+
     def test_guard_blocks_and_force_overrides(self, capsys):
         code, out, err = run_cli(capsys, "table", "--d", "1", "--n", "13")
         assert code == 4

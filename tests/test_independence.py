@@ -110,6 +110,9 @@ def test_routes_share_no_formula():
     ("_vandermonde(point)", {("sum", "product"): ["matrices._vandermonde"]}),
     ("_half_minors({}, point, shifts, [()], [1], 1)",
      {("determinant", "sum"): ["difference._column", "difference._half_minors"]}),
+    # The recurrence's lattice takes its covering moves from indices, and
+    # the reading follows it there.
+    ("lower_neighbor_entries(point, point)", {("recurrence", "sum"): ["indices.lower_neighbor_entries"]}),
 ])
 def test_a_borrowed_formula_is_caught(call, shared):
     sources = _sources()

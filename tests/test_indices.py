@@ -14,7 +14,6 @@ class TestValidate:
         idx = validate((1, 3, 4), 5)
         assert idx.entries == (1, 3, 4)
         assert idx.d == 3
-        assert idx.weight == 8
         assert str(idx) == "1-3-4"
 
     def test_rejects_empty(self):
@@ -117,7 +116,7 @@ class TestLowerNeighbors:
         if i.entries == j.entries:
             return
         for q, k in lower_neighbors(i, j):
-            assert k.weight == i.weight - 1
+            assert sum(k.entries) == sum(i.entries) - 1
             assert leq(j, k)
             assert leq(k, i)
             diffs = [
@@ -134,6 +133,6 @@ class TestLowerNeighbors:
         expected = {
             k.entries
             for k in enumerate_indices(i.d, i.n)
-            if k.weight == i.weight - 1 and leq(j, k) and leq(k, i)
+            if sum(k.entries) == sum(i.entries) - 1 and leq(j, k) and leq(k, i)
         }
         assert got == expected

@@ -291,6 +291,26 @@ class TestRecurrence:
         assert [t for _, lattice in lattices for t, _ in lattice] == interval
         assert peak < 100_000  # a table as long as n would take megabytes
 
+    def test_lattice_is_the_interval_with_its_covering_moves(self):
+        # Read against the poset alone: the interval is every increasing
+        # tuple between j and i, in lexicographic order, and the covers
+        # of t are the tuples below it whose entry sum is one less.
+        for n in range(1, 8):
+            for d in range(1, n + 1):
+                tuples = list(combinations(range(1, n + 1), d))
+                for i, j in product(tuples, repeat=2):
+                    if not all(map(le, j, i)):
+                        continue
+                    lattice = multiplicity._lattice(j, i)
+                    interval = [t for t in tuples if all(map(le, j, t)) and all(map(le, t, i))]
+                    assert [t for t, _ in lattice] == interval
+                    for t, lower in lattice:
+                        covers = [u for u in interval if all(map(le, u, t)) and sum(u) == sum(t) - 1]
+                        assert sorted(lattice[k][0] for _, _, k in lower) == covers
+                        assert [q for q, _, _ in lower] == sorted({q for q, _, _ in lower})
+                        for q, dec, k in lower:
+                            assert lattice[k][0] == t[:q] + (dec,) + t[q + 1:]
+
     @given(index_pairs())
     @settings(max_examples=60)
     def test_matches_determinant(self, pair):
