@@ -13,8 +13,8 @@ determinant table runs it over the halves of its pairs.
 
 The box checks run the same Laplace steps on packed integers (_box_rows).
 Each left-half value tuple gets one row: an integer that holds its values
-over the right half's sub-box, one signed slot of W = 64 m bits per
-right-half point, with m set per check from a bound on every value and
+over the right half's sub-box, one signed slot of W bits per right-half
+point, W the least signed width that holds a bound on every value and
 residue: by Hadamard's inequality, the product of the columns' largest
 L1 norms. The right half's minors are grown packed, one step per column;
 the left half runs _half_minors up to its last column, whose step is
@@ -46,7 +46,8 @@ __all__ = [
 ]
 
 # Largest box, counted in evaluated points (hi - lo + 2) ** d, that a check
-# accepts; the largest box in use is 13 ** 4 = 28 561 points.
+# accepts; the largest box in use is 13 ** 4 = 28 561 points. Its packed
+# slots may take MAX_BOX_POINTS * 64 bits in all.
 MAX_BOX_POINTS = 10**6
 
 
@@ -104,9 +105,8 @@ def _require_direction(q: int, d: int) -> None:
 def _require_box(box, d: int) -> tuple[int, int]:
     """Bounds of the box, checked before any work: an ordered pair of
     integers, nonempty, and at most MAX_BOX_POINTS evaluated points in
-    [lo - 1, hi]^d and packed minor slots, counted as up to 2**d row sets
-    of the right (the larger) half, each with one slot per value tuple of
-    that half."""
+    [lo - 1, hi]^d and packed minor slots (_box_slots). _box_rows bounds
+    the bits of those slots."""
     try:
         lo, hi = _require_ordered(box, "box")
     except (TypeError, ValueError) as exc:
@@ -115,14 +115,20 @@ def _require_box(box, d: int) -> tuple[int, int]:
         _require_int(bound, "box bound", pos)
     if lo > hi:
         raise ValueError(f"empty box: lo={lo} > hi={hi}")
-    side = hi - lo + 2
-    cost = max(side**d, side ** (d - d // 2) * 2**d)
+    cost = _box_slots(d, hi - lo + 2)
     if cost > MAX_BOX_POINTS:
         raise ValueError(
             f"box [{lo - 1}, {hi}]^{d} needs {cost} evaluations, "
             f"above MAX_BOX_POINTS={MAX_BOX_POINTS}"
         )
     return lo, hi
+
+
+def _box_slots(d: int, side: int) -> int:
+    """Evaluated points of a box of side values per coordinate, or its packed
+    minor slots, up to 2**d row sets of the right (the larger) half with
+    one slot per value tuple of that half, whichever is more."""
+    return max(side**d, side ** (d - d // 2) * 2**d)
 
 
 def _extension_plan(d: int) -> tuple[int, list, list]:
@@ -181,7 +187,7 @@ def _half_minors(memo: dict, values: tuple, shifts: tuple, plan: list, d: int) -
 
 
 def _box_rows(d: int, boxes: list, lo: int, hi: int) -> tuple[int, list[list[int]]]:
-    """The row kernel: a slot width W = 64 m bits and, for each shift vector
+    """The row kernel: a slot width of W bits and, for each shift vector
     of boxes, its packed rows over [lo, hi]^d, one per left-half value
     tuple a in lexicographic order. Slot b of row a, the signed W bits at
     bit W b, holds the value at the point (a, b), the right-half points b
@@ -198,26 +204,37 @@ def _box_rows(d: int, boxes: list, lo: int, hi: int) -> tuple[int, list[list[int
     whose prefix minor L_k is not zero, and row (prefix, u) is the sum over
     r of column u's entry r times H_r.
 
-    m is the least whose signed slots hold (2d + 1) V. Here N(s) is the
-    largest sum of |entries| over the columns (v, s) of the box's values v,
-    and V is the product of N(s_q) over q, at its largest over boxes. Every
-    value is the determinant of its columns (t_q, s_q), so by Hadamard's
-    inequality it is at most the product of their L1 norms, at most V;
-    every half minor is at most V on the same grounds. The packed integers
+    W is the least with (2d + 1) V < 2**(W-1), the least signed width that
+    holds (2d + 1) V. Here N(s) is the largest sum of |entries| over the
+    columns (v, s) of the box's values v, and V is the product of N(s_q)
+    over q, at its largest over boxes. Every value is the determinant of
+    its columns (t_q, s_q), so by Hadamard's inequality it is at most the
+    product of their L1 norms, at most V; every half minor is at most V
+    on the same grounds. The packed integers
     are exact integer sums, so a slot only has to fit where it is decoded or
     tested with _scan's offset: a slot of a value row is at most V, and one
     of a residue row at most 2d V in the difference check and 3 V in the
     shift check. Raising a shift only drops entries from a column, so N(s)
     never grows with s. One memo serves every box; it keeps the left
     prefixes and each column (v, s), built once for the bound and the
-    packing."""
+    packing.
+
+    W grows with the digits of lo and hi, so a box whose slots, counted as
+    in _require_box, take more than MAX_BOX_POINTS * 64 bits is refused
+    once W is known, before any packing or minor."""
     memo: dict = {}
     span = range(lo, hi + 1)
     h, left_plan, right_plan = _extension_plan(d)
     columns = {s: [_column(memo, v, s, d) for v in span] for s in set().union(*boxes)}
     norm = {s: max(sum(map(abs, col)) for col in cols) for s, cols in columns.items()}
     bound = (2 * d + 1) * max(prod(map(norm.get, t)) for t in boxes)
-    width = 64 * (bound.bit_length() // 64 + 1)
+    width = bound.bit_length() + 1
+    bits = _box_slots(d, len(span)) * width
+    if bits > MAX_BOX_POINTS * 64:
+        raise ValueError(
+            f"box [{lo}, {hi}]^{d} needs {bits} packed bits in slots of {width}, "
+            f"above MAX_BOX_POINTS * 64 = {MAX_BOX_POINTS * 64}"
+        )
     out = []
     for shifts in boxes:
         packed = [1]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 from functools import cache
 from itertools import combinations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,6 +157,21 @@ class TestShiftIdentity:
         assert check_shift_identity(shifts, q, (-2, 3)).ok
 
 
+def column_norms(shifts: tuple, span: range) -> dict[int, int]:
+    """N(s) for each shift s: the largest sum of |entries| over the columns
+    (v, s) of the values v in span, from binom."""
+    d = len(shifts)
+    return {s: max(sum(abs(binom(v, p - s)) for p in range(d)) for v in span) for s in shifts}
+
+
+def least_signed_width(bound: int) -> int:
+    """The least W >= 1 whose signed slots hold bound, bound < 2**(W-1)."""
+    width = 1
+    while bound >= 2 ** (width - 1):
+        width += 1
+    return width
+
+
 def slots(row: int, width: int, count: int) -> list[int]:
     """The count signed base-2**width digits of row, lowest first; nothing
     may be left above them."""
@@ -191,12 +209,13 @@ class TestBoxValues:
     )
     def test_laplace_equals_pointwise_determinant(self, shifts, lo, hi):
         # Row a's slots, decoded here digit by digit, are the values at the
-        # points (a, b) in lexicographic order; the far boxes need slots of
-        # more than one 64-bit word, the others one.
+        # points (a, b) in lexicographic order. The width is the least
+        # signed one that holds (2d + 1) V, V from the column norms.
         d, span = len(shifts), range(lo, hi + 1)
         expected = [eval_poly(shifts, t) for t in product(span, repeat=d)]
         width, (rows,) = _box_rows(d, [shifts], lo, hi)
-        assert width > 64 if abs(lo) > 10**6 else width == 64
+        bound = prod(map(column_norms(shifts, span).get, shifts))
+        assert width == least_signed_width((2 * d + 1) * bound)
         count = len(span) ** (d - d // 2)
         assert [v for row in rows for v in slots(row, width, count)] == expected
 
@@ -207,25 +226,28 @@ class TestBoxValues:
             st.integers(0, 2 if d == 5 else 3),
         ))
     )
-    # V = (2**31 + 1)**2 fits a 64-bit slot, but 5 V does not.
+    # V = (2**31 + 1)**2 fits a 64-bit slot, but 5 V does not: W = 66.
     @example(((0, 0), 2**31, 0))
     @settings(max_examples=60, deadline=None)
     def test_rows_decode_and_the_bound_holds(self, case):
         # The packed rows decode to eval_poly, slot by slot. N(s), the
         # largest column L1 norm over the box, bounds them: the product of
         # N over all shifts bounds every value, (2d + 1) times it fits a
-        # signed slot, and each half's product bounds every minor that
-        # _half_minors gives at the value tuples of that half.
+        # signed slot and would not fit one a bit narrower (W = 1, the
+        # least width, serves a zero column, V = 0), and each half's
+        # product bounds every minor that _half_minors gives at the value
+        # tuples of that half.
         shifts, lo, extent = case
         d, span = len(shifts), range(lo, lo + extent + 1)
         width, (rows,) = _box_rows(d, [shifts], lo, lo + extent)
         count = len(span) ** (d - d // 2)
         decoded = [v for row in rows for v in slots(row, width, count)]
         assert decoded == [eval_poly(shifts, t) for t in product(span, repeat=d)]
-        norm = {s: max(sum(abs(binom(v, p - s)) for p in range(d)) for v in span) for s in shifts}
+        norm = column_norms(shifts, span)
         bound = prod(map(norm.get, shifts))
         assert max(map(abs, decoded)) <= bound
         assert (2 * d + 1) * bound < 2 ** (width - 1)
+        assert width == 1 or 2 ** (width - 2) <= (2 * d + 1) * bound
         h, *plans = _extension_plan(d)
         for part, plan in zip((shifts[:h], shifts[h:]), plans):
             minors = [_half_minors({}, u, part, plan, d) for u in product(span, repeat=len(part))]
@@ -238,9 +260,16 @@ class TestBoxValues:
         # So this call's bound is the largest of all 2 500 box_identities
         # cases on [-5, 6]^4 (rows over [-6, 6]), both boxes of each shift
         # check included: (2d + 1) V = 9 * 84**4 has 29 bits, so all of
-        # them run on 64-bit slots.
+        # them run on slots of at most 30 bits.
         width, _ = _box_rows(4, [(0, 0, 0, 0), (0, 0, 0, 1)], -6, 6)
-        assert width == 64
+        assert width == 30
+
+    def test_benchmark_rows_take_30_bits_a_slot(self):
+        # The dearest benchmark box packs 13**2 right-half points per row,
+        # each row no longer than its 169 slots of 30 bits.
+        width, (rows,) = _box_rows(4, [(0, 0, 0, 0)], -6, 6)
+        assert (width, len(rows)) == (30, 169)
+        assert max(row.bit_length() for row in rows) <= 169 * 30
 
     def test_minor_count(self, op_calls, spy):
         # No determinant and no minor vector per point: one memo entry per
@@ -267,6 +296,23 @@ class TestBoxValues:
         assert check_difference_eq((0, 1, 0, 3), (-5, 6)).ok
         assert check_shift_identity((0, 1, 0, 3), 2, (-5, 6)).ok
         assert len(op_calls["binom"]) == 156 + 208
+
+    @pytest.mark.parametrize("lo", [10**30, 10**60])
+    def test_bit_bound_before_any_minor(self, spy, lo):
+        # [lo - 1, lo + 998]^2 has MAX_BOX_POINTS points, so the point
+        # bound lets it pass at any lo, but its slots widen with the digits
+        # of lo: 203 and 402 bits, above MAX_BOX_POINTS * 64 in all. The
+        # kernel refuses it once its width is known, before any minor; at
+        # lo = 0 its slots take 24 bits and it runs.
+        minors = spy("_half_minors", difference)
+        assert check_difference_eq((0, 0), (0, 998)).ok
+        assert minors
+        minors.clear()
+        with pytest.raises(ValueError, match=r"packed bits .* above MAX_BOX_POINTS \* 64"):
+            check_difference_eq((0, 0), (lo, lo + 998))
+        with pytest.raises(ValueError, match=r"packed bits .* above MAX_BOX_POINTS \* 64"):
+            check_shift_identity((0, 0), 1, (lo, lo + 998))
+        assert minors == []
 
     def test_cost_bound_before_any_work(self, op_calls):
         # 13**9 points, or 2**16 points whose larger half alone has 2**8
@@ -359,6 +405,45 @@ class TestFailurePath:
         expected = [pointwise_report(shifts, q, box) for q in [None, *range(1, len(shifts) + 1)]]
         assert reports == expected
         assert not all(report.ok for report in reports)
+
+
+def benchmark_child():
+    """perfbench/child.py, loaded as a module for its CASES and BOX."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
+
+
+class TestBoxReports:
+    def test_benchmark_sample_reports_are_golden(self, monkeypatch):
+        # Every 25th box_identities case, 100 of 2 500, through both
+        # checks, first as they are and then under wrong_binom, one line
+        # per case as scripts/box_reports.py prints it. The sha256 of each
+        # section pins every report, witnesses and sides included, on the
+        # benchmark's own box.
+        child = benchmark_child()
+        digests, failed = [], []
+        for wrong in (False, True):
+            if wrong:
+                monkeypatch.setattr(difference, "binom", wrong_binom)
+                monkeypatch.setattr(matrices, "binom", wrong_binom)
+            digest = hashlib.sha256()
+            for shifts, q in child.CASES[::25]:
+                reports = (
+                    check_difference_eq(shifts, child.BOX),
+                    check_shift_identity(shifts, q, child.BOX),
+                )
+                fields = [(r.ok, r.points_checked, r.witness, r.lhs, r.rhs) for r in reports]
+                digest.update(f"{shifts} {q} {fields}\n".encode())
+                failed += [not r.ok for r in reports]
+            digests.append(digest.hexdigest())
+        assert digests == [
+            "fda9ac037676d6169ff8fcc8a634c1438d13e5c6e1f0c790dc48ceaf0bdf5303",
+            "cb9365312e13ad1fb1f7f341b2e7fc44e3aa77029e0716aa96fb9cd96c4c599b",
+        ]
+        assert sum(failed[:200]) == 0 < sum(failed[200:])
 
 
 class TestHalfMinors:
