@@ -1,17 +1,14 @@
 """Command line for batch multiplicity work: single queries, full tables,
 verification sweeps, and micro-benchmarks.
 
-table --jobs N sweeps one share of the cells in the process and forks a
-worker with os.fork for each other share; a worker streams its cells
-back through its own pipe, and the parent kills and reaps every worker
-before run_table returns or raises.
+table --jobs N is checked (an int >= 1) and changes nothing: every sweep
+runs in the one process, in cell order.
 
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input
 or output that cannot be written, 3 requested route not applicable to
 the pair, 4 n exceeds the size guard GUARD = 12 (override with --force),
-5 internal error (an exact division left a remainder, a computed value
-broke an invariant, or a --jobs worker ended before it sent all its
-cells), 6 out of memory, 130 interrupted (SIGINT; workers ignore it),
+5 internal error (an exact division left a remainder, or a computed
+value broke an invariant), 6 out of memory, 130 interrupted (SIGINT),
 141 stdout closed by its reader (as by SIGPIPE).
 """
 
@@ -24,7 +21,6 @@ import random
 import sys
 import time
 from collections import deque
-from collections.abc import Iterator
 from itertools import repeat
 from math import comb
 from operator import add
@@ -169,69 +165,6 @@ def cmd_compute(args) -> int:
 # table
 
 
-def _fork_share(payload: tuple, children: dict) -> Iterator:
-    """Fork a worker for one share: it ignores SIGINT, sweeps payload
-    (_sweep's arguments), pickles each cell's (ranks, columns) down its own
-    pipe as soon as the cell is made, or the exception that ended its
-    sweep, and exits. In the parent, file the worker's pid with the read
-    end of its pipe in children, for the caller to kill, reap and close,
-    and return the share's cells as they are read."""
-    import pickle
-    import signal
-
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        children[pid] = open(read, "rb")
-        return _received(pid, children)
-    try:  # the worker never returns into its caller
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(read)
-        with open(write, "wb") as pipe:
-            try:
-                for cell in _sweep(*payload):
-                    pipe.write(pickle.dumps(cell))
-                    pipe.flush()
-            except Exception as exc:
-                pipe.write(pickle.dumps(exc))
-    finally:
-        os._exit(0)
-
-
-def _received(pid: int, children: dict) -> Iterator:
-    """The cells of worker pid, unpickled one at a time from its pipe. An
-    exception the worker sent is raised here. A pipe that ends before the
-    share does raises InvariantError with the worker's wait status, once
-    the worker is reaped."""
-    import pickle
-
-    pipe = children[pid]
-    while True:
-        try:
-            cell = pickle.load(pipe)
-        except EOFError:
-            _, status = os.waitpid(pid, 0)
-            children.pop(pid).close()
-            raise InvariantError(
-                f"a --jobs worker ended before it sent all its cells (wait status "
-                f"{status}, exit code {os.waitstatus_to_exitcode(status)})"
-            ) from None
-        if isinstance(cell, Exception):
-            raise cell
-        yield cell
-
-
-def _end_workers(children: dict) -> None:
-    """Kill and reap every worker filed in children, and close its pipe."""
-    import signal
-
-    for pid, pipe in children.items():
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pipe.close()
-
-
 def run_table(
     d: int, n: int, routes: tuple[str, ...] = (ROUTE_DETERMINANT,), fmt: str = "csv",
     jobs: int = 1, force: bool = False,
@@ -243,8 +176,8 @@ def run_table(
     the i of that tail, made once per distinct value per call. The sweep
     hands out checked values only: a formula value was checked once, when
     its class was evaluated, and a recurrence column by its least value.
-    With jobs > 1 the workers are forked with os.fork, which is
-    safe only in a process that runs no other thread, as the CLI does."""
+    jobs is checked (an int >= 1) and changes nothing: the sweep runs in
+    this process, in cell order."""
     _check_guard(d, n, force)
     _require_int(jobs, "--jobs")
     if jobs < 1:
@@ -254,38 +187,26 @@ def run_table(
     if not routes or not all(r in ROUTES for r in routes) or len(set(routes)) < len(routes):
         raise ValueError(f"--route needs one or more routes, none unknown or repeated, got {routes!r}")
     names = [str(i) for i in enumerate_indices(d, n)]
-    workers = min(jobs, len(names), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    # Cells are dealt round-robin: up-sets shrink along the rank order, so
-    # contiguous blocks would leave the first worker most of the pairs.
-    payloads = [(d, n, range(w, len(names), workers), routes) for w in range(workers)]
-    # The parent sweeps share 0 lazily, cell by cell, as one job does; a
-    # forked worker sweeps each other share and streams it back.
-    shares, children = [_sweep(*payloads[0])], {}
-    try:
-        shares += [_fork_share(payload, children) for payload in payloads[1:]]
-        # Each value's text is filed under its i with its (j, route) tail,
-        # in cell order. Every j <= i precedes i in rank, so i's rows are all
-        # filed once cell i is read: they are rendered then, as one chunk.
-        head, tail, end = _ROWS[fmt]
-        # filed[r]: tail, text, tail, text, ... of the rows of i = r so far
-        filed, chunks, sep = [[] for _ in names], [], "" if fmt == "csv" else ",\n"
-        texts = _Memo(end.format)  # each value's text, made once
-        for c, name in enumerate(names):
-            ranks, columns = next(shares[c % workers])  # cell c was dealt to worker c % workers
-            for route, column in zip(routes, columns):
-                # the pairs that column covers: the tail of ranks of its length
-                covered = ranks if len(column) == len(ranks) else ranks[len(ranks) - len(column):]
-                pairs = zip(repeat(tail.format(j=name, route=route)), map(texts.__getitem__, column))
-                _consume(map(list.extend, map(filed.__getitem__, covered), pairs))
-            tails, ends, filed[c] = filed[c][::2], filed[c][1::2], None
-            first = head.format(n=n, d=d, i=name)
-            if tails:  # the head opens i's first row, and sep and the head every other
-                tails[0] = first + tails[0]
-            chunks.append((sep + first).join(map(add, tails, ends)))
-        return _document(chunks, fmt)
-    finally:
-        if children:
-            _end_workers(children)
+    # Each value's text is filed under its i with its (j, route) tail, in
+    # cell order. Every j <= i precedes i in rank, so i's rows are all filed
+    # once cell i is read: they are rendered then, as one chunk.
+    head, tail, end = _ROWS[fmt]
+    # filed[r]: tail, text, tail, text, ... of the rows of i = r so far
+    filed, chunks, sep = [[] for _ in names], [], "" if fmt == "csv" else ",\n"
+    texts = _Memo(end.format)  # each value's text, made once
+    cells = _sweep(d, n, range(len(names)), routes)
+    for c, (name, (ranks, columns)) in enumerate(zip(names, cells)):
+        for route, column in zip(routes, columns):
+            # the pairs that column covers: the tail of ranks of its length
+            covered = ranks if len(column) == len(ranks) else ranks[len(ranks) - len(column):]
+            pairs = zip(repeat(tail.format(j=name, route=route)), map(texts.__getitem__, column))
+            _consume(map(list.extend, map(filed.__getitem__, covered), pairs))
+        tails, ends, filed[c] = filed[c][::2], filed[c][1::2], None
+        first = head.format(n=n, d=d, i=name)
+        if tails:  # the head opens i's first row, and sep and the head every other
+            tails[0] = first + tails[0]
+        chunks.append((sep + first).join(map(add, tails, ends)))
+    return _document(chunks, fmt)
 
 
 def cmd_table(args) -> int:
@@ -468,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable; default: determinant. Pair/route combinations a route does not cover are omitted",
     )
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    table.add_argument(
+        "--jobs", type=int, default=1, help="checked (an int >= 1); the sweep always runs in one process"
+    )
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", parents=[sweep], help="route equivalence sweep plus identity suites")

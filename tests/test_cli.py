@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import hashlib
 import importlib
 import inspect
 import json
 import os
-import pickle
 import resource
 import shlex
 import signal
@@ -35,18 +33,6 @@ from grassmult.cli import (
     run_table,
     run_verification,
 )
-
-
-def ignores_sigint(pids):
-    """Whether one of pids is a live process whose /proc status shows
-    SIGINT ignored."""
-    for pid in pids:
-        with contextlib.suppress(OSError):
-            status = Path(f"/proc/{pid}/status").read_text()
-            mask = int(status.split("SigIgn:")[1].split()[0], 16)
-            if mask >> (signal.SIGINT - 1) & 1:
-                return True
-    return False
 
 
 def memos(calls):
@@ -210,45 +196,29 @@ class TestTable:
         # 20 pairs x 3 always-on routes, 5 separated pairs, 6 base cells
         assert len(out.splitlines()) == 72
 
-    def test_parallel_merge_keeps_bytes(self, capsys, monkeypatch, spy):
+    def test_parallel_merge_keeps_bytes(self, capsys):
         # Measured with --jobs 1 and 2 before the sweep was dealt by cells.
-        forks = spy("_fork_share", cli)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         code, out, _ = run_cli(
             capsys, "table", "--d", "4", "--n", "8", "--route", "all", "--jobs", "3"
         )
         assert code == 0
-        # The parent works the first share, and forks a worker for each other.
-        assert len(forks) == 2
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "6d29e80ebf78df02cac5a6b57382e2801acd7303e4059cc442b2820574a62edd"
         )
 
-    def test_pool_payloads_hold_no_index_or_dict(self, monkeypatch, spy):
-        # A worker's payload is _sweep's arguments, cells by rank: no index
-        # object, map or list is handed to a worker. A worker sends back
-        # _sweep's ranks and values, ints only, and no text. Three
-        # workers write the same bytes as one, in either format.
-        def holds(value, kinds):
-            if isinstance(value, kinds):
-                return True
-            return isinstance(value, (tuple, list)) and any(holds(v, kinds) for v in value)
+    def test_jobs_start_no_process(self, capsys, monkeypatch):
+        # Any --jobs sweeps in the one process: a table that forked, or
+        # opened a pipe to a worker, would fail here instead of writing the
+        # bytes of one job.
+        def refused(*args):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        def leaves(value):
-            if isinstance(value, (tuple, list)):
-                return [leaf for v in value for leaf in leaves(v)]
-            return [value]
-
-        forks, received = spy("_fork_share", cli), spy("load", pickle)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        for fmt in ("csv", "json"):
-            everything = dict(d=3, n=7, routes=multiplicity.ROUTES, fmt=fmt)
-            assert run_table(**everything, jobs=3) == run_table(**everything)
-        payloads = [args["payload"] for args, _ in forks]
-        assert len(payloads) == 4
-        assert not any(holds(p, (grassmult.GrassmannIndex, dict, list)) for p in payloads)
-        returned = leaves([cell for _, cell in received])
-        assert returned and all(type(leaf) is int for leaf in returned)
+        argv = ("table", "--d", "4", "--n", "8", "--route", "all", "--jobs")
+        one = run_cli(capsys, *argv, "1")
+        assert one[0] == 0
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(os, "pipe", refused)
+        assert run_cli(capsys, *argv, "3") == one
 
     def test_recurrence_fills_each_value_once(self, spy):
         # One lattice of the 35 indices serves every cell; each cell fills
@@ -288,9 +258,8 @@ class TestTable:
 
     @pytest.mark.parametrize("jobs", ["2"])
     def test_invalid_row_is_an_internal_error(self, capsys, monkeypatch, jobs):
-        # Forked workers inherit the patched division. One job takes the
-        # path of test_every_sweep_command_checks_its_values[table].
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Two jobs sweep in the one process, as one job does in
+        # test_every_sweep_command_checks_its_values[table].
         monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
         code, out, err = run_cli(
             capsys, "table", "--d", "2", "--n", "4", "--route", "recurrence", "--jobs", jobs
@@ -298,73 +267,6 @@ class TestTable:
         assert code == 5
         assert out == ""
         assert err == "internal error: multiplicity must be >= 1, got 0\n"
-
-    def test_worker_death_is_an_internal_error(self, capsys, monkeypatch):
-        # A worker that ends before it sends all its cells ends the table
-        # with exit 5 and its wait status, and leaves no child running.
-        parent, recurrence = os.getpid(), multiplicity._recurrence
-
-        def dies_in_the_worker(*args):
-            if os.getpid() != parent:
-                os._exit(9)
-            return recurrence(*args)
-
-        def hung(signum, frame):
-            raise TimeoutError("the table still waits for a dead worker")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiplicity, "_recurrence", dies_in_the_worker)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)  # should the parent miss the worker's end
-        try:
-            result = run_cli(
-                capsys, "table", "--d", "3", "--n", "6", "--route", "recurrence", "--jobs", "2"
-            )
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert result == (
-            5, "", "internal error: a --jobs worker ended before it sent all its cells "
-            "(wait status 2304, exit code 9)\n",
-        )
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("broken", [False, True], ids=["ok", "exact_div-0"])
-    def test_workers_leave_no_process_or_descriptor(self, monkeypatch, broken):
-        # Every worker is reaped and every pipe closed, when the table is
-        # made and when the parent's own share fails first.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        if broken:
-            monkeypatch.setattr(multiplicity, "exact_div", lambda a, b: 0)
-        descriptors = sorted(os.listdir("/proc/self/fd"))
-        with pytest.raises(multiplicity.InvariantError) if broken else contextlib.nullcontext():
-            run_table(3, 7, multiplicity.ROUTES, jobs=3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(os.listdir("/proc/self/fd")) == descriptors
-
-    def test_worker_exception_is_raised_in_the_parent(self, capsys, monkeypatch):
-        # An exception that ends a forked worker's sweep comes down its pipe
-        # and is raised in the parent, which still reaps the worker and
-        # closes its pipe. Only the worker's cells break, so the parent's
-        # own share cannot fail first.
-        parent, recurrence = os.getpid(), multiplicity._recurrence
-
-        def breaks_in_the_worker(*args):
-            if os.getpid() != parent:
-                raise multiplicity.InvariantError("broken in the worker")
-            return recurrence(*args)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiplicity, "_recurrence", breaks_in_the_worker)
-        descriptors = sorted(os.listdir("/proc/self/fd"))
-        assert run_cli(
-            capsys, "table", "--d", "3", "--n", "6", "--route", "recurrence", "--jobs", "2"
-        ) == (5, "", "internal error: broken in the worker\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
     def test_scope_tested_without_a_message(self, spy):
         # Each route's scope is read once per cell, as its floor, and never
@@ -489,10 +391,9 @@ class TestTable:
             "8a405cd26c88601df1ccdb3b00d1553230bf685418761b399f6d84f3db77e1db"
         )
 
-    def test_table_rec_par_digest(self, monkeypatch):
-        # The table_rec_par gate of the layered benchmark, run in one
-        # process and with one forked worker beside the parent.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_table_rec_par_digest(self):
+        # The table_rec_par gate of the layered benchmark, under the
+        # benchmark's --jobs 2 and under one job.
         for jobs in (1, 2):
             out = "".join(run_table(d=4, n=10, routes=("recurrence",), jobs=jobs))
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
@@ -521,15 +422,13 @@ class TestTable:
             run_table(**{"d": 1, "n": 3, **option})
 
     @pytest.mark.parametrize("routes", [(), ("nope",), ("sum", "sum"), ("determinant", "nope")])
-    def test_route_list_refused_before_any_work(self, monkeypatch, spy, routes):
-        # The route list is checked once, before the lattice is built or
-        # any worker is forked. An empty list would make a table of its
-        # header alone.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        lattices, forks = spy("_lattice", multiplicity), spy("_fork_share", cli)
+    def test_route_list_refused_before_any_work(self, spy, routes):
+        # The route list is checked once, before the lattice is built. An
+        # empty list would make a table of its header alone.
+        lattices = spy("_lattice", multiplicity)
         with pytest.raises(ValueError, match="^--route .*unknown"):
             run_table(3, 7, routes, jobs=2)
-        assert lattices == forks == []
+        assert lattices == []
 
     @pytest.mark.parametrize("routes", [(route,) for route in multiplicity.ROUTES] + [multiplicity.ROUTES])
     def test_only_a_recurrence_table_builds_a_lattice(self, spy, routes):
@@ -626,23 +525,29 @@ class TestTable:
         assert run_cli(capsys, "table", "--d", "2", "--n", "4") == (code, "", err)
 
     def test_sigint_exits_without_traceback(self, cli_env):
-        # Ctrl-C reaches the whole process group; the forked workers ignore
-        # it and the parent ends the sweep. The signal is sent once the
-        # parent has forked its worker and the worker ignores SIGINT, as
-        # /proc shows, not after a fixed sleep.
-        if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
-            pytest.skip("needs /proc's children lists to see the worker")
+        # Ctrl-C ends the sweep with 130 and no traceback. The signal is
+        # sent once the process has spent well past an interpreter's start
+        # in CPU time, as /proc shows, not after a fixed sleep; the sweep
+        # takes some 2.5 s of CPU.
+        if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+            pytest.skip("needs /proc's stat to see the process's CPU time")
         proc = subprocess.Popen(
             [sys.executable, "-m", "grassmult", "table", "--d", "6", "--n", "14", "--force",
-             "--route", "recurrence", "--jobs", "2"],
+             "--route", "recurrence"],
             env=cli_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             start_new_session=True,
         )
         try:
-            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            stat_path = Path(f"/proc/{proc.pid}/stat")
+
+            def cpu_seconds():
+                # utime and stime, fields 14 and 15, counted after the ")" of field 2
+                fields = stat_path.read_text().rsplit(")", 1)[1].split()
+                return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
             deadline = time.monotonic() + 10
-            while not ignores_sigint(children.read_text().split()):
-                assert time.monotonic() < deadline, "no worker ignoring SIGINT within 10 s"
+            while cpu_seconds() < 0.5:
+                assert time.monotonic() < deadline, "under 0.5 s of CPU time within 10 s"
                 time.sleep(0.01)
             assert proc.poll() is None, "the sweep ended before it was interrupted"
             os.killpg(proc.pid, signal.SIGINT)
@@ -682,14 +587,12 @@ class TestTable:
     @pytest.mark.parametrize("d, n, routes", [
         (4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",)), (4, 11, ("determinant",)),
     ])
-    def test_peak_memory_is_bounded_by_the_output(self, monkeypatch, d, n, routes, jobs):
+    def test_peak_memory_is_bounded_by_the_output(self, d, n, routes, jobs):
         # The table holds values until an index's rows are complete, then
         # renders them: its peak stays under 3x the output, where rows held
-        # as texts until the end peaked near 6x. A worker's cells reach the
-        # parent one at a time, as its own share does. The determinant
-        # table peaks near 1.3x; filing each row's text in place of its
-        # value peaked near 1.75x.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # as texts until the end peaked near 6x. The determinant table peaks
+        # near 1.3x; filing each row's text in place of its value peaked
+        # near 1.75x.
         tracemalloc.start()
         try:
             pieces = run_table(d, n, routes, jobs=jobs)
@@ -699,32 +602,15 @@ class TestTable:
         bound = 1.5 if routes == ("determinant",) else 3
         assert peak < bound * len("".join(pieces).encode("utf-8"))
 
-    def test_pool_size_clamps(self, monkeypatch, spy):
-        started = spy("_fork_share", cli)
-        # The parent is one of the workers, so it forks one process fewer.
-        for d, n, jobs, cpus, fork, forks in [
-            (2, 5, 4, 2, True, 1),  # at most one worker per CPU
-            (1, 2, 3, 8, True, 1),  # at most one worker per cell
-            (2, 5, 1, 8, True, 0),  # one job runs in process, with no fork
-            (2, 5, 4, 8, False, 0),  # so does any job count where os has no fork
-        ]:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            if not fork:
-                monkeypatch.delattr(os, "fork")
-            assert run_table(d, n, jobs=jobs) == run_table(d, n)
-            assert len(started) == forks
-            started.clear()
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("routes", [
         multiplicity.ROUTES, ("determinant",), ("recurrence", "product"), ("sum", "weyman"),
         ("product",),
     ], ids=["all", "determinant", "recurrence_product", "sum_weyman", "product"])
-    def test_rows_match_a_reference_renderer(self, monkeypatch, routes, fmt):
+    def test_rows_match_a_reference_renderer(self, routes, fmt):
         # The table against a document built pair by pair from the library's
         # evaluator and scope, with CSV rows spelled out and JSON written by
         # json.dumps, under one job and two.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for n in range(1, 7):
             for d in range(1, min(n, 3) + 1):
                 cells = list(grassmult.enumerate_indices(d, n))
@@ -972,9 +858,8 @@ def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
 ], ids=multiplicity.ROUTES)
 def test_each_route_checks_its_values(capsys, monkeypatch, route, engine, broken):
     # Each route's own engine is broken alone, so each route's check is
-    # the one that fires: in one job, in a forked worker's share, and in
-    # bench, which hands no value to any renderer.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the one that fires: in a table under one job and two, and in bench,
+    # which hands no value to any renderer.
     monkeypatch.setattr(multiplicity, engine, broken)
     sweep = ("--d", "3", "--n", "6", "--route", route)
     for argv in (("table", *sweep, "--jobs", "1"), ("table", *sweep, "--jobs", "2"), ("bench", *sweep)):
@@ -1154,8 +1039,9 @@ def test_single_pair_routes_take_the_pair_only():
 
 def test_import_set(cli_env):
     # The modules a compute process, a text verify process and a table
-    # process with a forked worker load. -S skips site, so .pth files of a
-    # given installation cannot load these first and hide an import.
+    # process under --jobs 2 load: no table process pickles. -S skips site,
+    # so .pth files of a given installation cannot load these first and
+    # hide an import.
     for argv in (
         ["compute", "--n", "1", "--i", "1", "--j", "1"],
         ["verify", "--d", "1", "--n", "2"],
@@ -1163,10 +1049,9 @@ def test_import_set(cli_env):
     ):
         child = (
             "import os, sys\n"
-            "os.cpu_count = lambda: 2\n"
             "from grassmult.cli import main\n"
             f"main({argv!r})\n"
-            "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json')\n"
+            "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'multiprocessing', 'json', 'pickle')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
         )
         proc = subprocess.run(
