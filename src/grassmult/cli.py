@@ -7,9 +7,10 @@ runs in the one process, in cell order.
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input
 or output that cannot be written, 3 requested route not applicable to
 the pair, 4 n exceeds the size guard GUARD = 12 (override with --force),
-5 internal error (an exact division left a remainder, or a computed
-value broke an invariant), 6 out of memory, 130 interrupted (SIGINT),
-141 stdout closed by its reader (as by SIGPIPE).
+5 internal error (an exact division left a remainder, a computed value
+broke an invariant, or any other exception escaped), 6 out of memory,
+130 interrupted (SIGINT), 141 stdout closed by its reader (as by
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_compute(args) -> int:
 
 def run_table(
     d: int, n: int, routes: tuple[str, ...] = (ROUTE_DETERMINANT,), fmt: str = "csv",
-    jobs: int = 1, force: bool = False,
+    force: bool = False,
 ) -> list[str]:
     """The pieces of one CSV or JSON document: for every pair j <= i of
     I(d, n), lexicographic by i then j, one row per requested route that
@@ -176,12 +177,8 @@ def run_table(
     the i of that tail, made once per distinct value per call. The sweep
     hands out checked values only: a formula value was checked once, when
     its class was evaluated, and a recurrence column by its least value.
-    jobs is checked (an int >= 1) and changes nothing: the sweep runs in
-    this process, in cell order."""
+    The sweep runs in this process, in cell order."""
     _check_guard(d, n, force)
-    _require_int(jobs, "--jobs")
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if fmt not in _ROWS:
         raise ValueError(f"--format must be csv or json, got {fmt!r}")
     if not routes or not all(r in ROUTES for r in routes) or len(set(routes)) < len(routes):
@@ -210,8 +207,10 @@ def run_table(
 
 
 def cmd_table(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     routes = _normalize_routes(args.route) or (ROUTE_DETERMINANT,)
-    _emit(run_table(args.d, args.n, routes, args.format, args.jobs, args.force), args.out)
+    _emit(run_table(args.d, args.n, routes, args.format, args.force), args.out)
     return 0
 
 
@@ -436,6 +435,9 @@ def main(argv=None) -> int:
         return 130
     except BrokenPipeError:  # the reader closed stdout
         return 141
+    except Exception as exc:  # any other escape is a bug, never bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ Routes:
                     routes are checked against.
 * ``mult_sum``      alternating, binomially weighted sum of Vandermonde
                     products over a box of offsets, built one coordinate
-                    at a time from memoized prefix terms that are dropped
-                    once two shifted values collide; a table sums each
-                    class (i, s) once, with a prefix memo per cell.
+                    at a time from the last, holding one level of terms,
+                    each dropped once two shifted values collide; a table
+                    sums each class (i, s) once.
 * ``mult_product``  closed product form, applicable only to separated
                     pairs (j_d <= i_1).
 * ``mult_weyman``   determinant in the Frobenius coordinates of the
@@ -246,36 +246,32 @@ def alternating_vandermonde_sum(shifts: Sequence[int], point: Sequence[int]) -> 
     expression itself is defined for every integer point.
     """
     point, shifts = _require_columns(point, shifts)
-    return _vandermonde_sum({}, shifts, point)
+    return _vandermonde_sum(shifts, point)
 
 
-def _vandermonde_sum(memo: dict, shifts: tuple[int, ...], point: tuple[int, ...]) -> int:
+def _vandermonde_sum(shifts: tuple[int, ...], point: tuple[int, ...]) -> int:
     """The sum route's engine: alternating_vandermonde_sum on checked
     tuples, performing no validation.
 
     A term is the tuple of shifted values t_q + k_q so far with its signed
-    weight times their Vandermonde product. The terms of each proper prefix
-    are built from those of the prefix one shorter and kept in memo, keyed
-    by (point prefix, shifts prefix); the last coordinate is only summed.
+    weight times their Vandermonde product. The coordinates are taken from
+    the last to the first: the terms of coordinates q..d are built from
+    those of q+1..d, and only the current level is held. s_vector is
+    non-increasing and ends in 0, so the levels carry the smallest shifts
+    and the first coordinate, whose shift is the largest, is only summed.
     """
     terms: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for q in range(1, len(point)):
-        key = (point[:q], shifts[:q])
-        prefix = memo.get(key)
-        if prefix is None:
-            prefix = memo[key] = [
-                (values + (y,), c) for values, y, c in _extend(terms, point[q - 1], shifts[q - 1])
-            ]
-        terms = prefix
-    total = sum(c for _, _, c in _extend(terms, point[-1], shifts[-1]))
+    for q in range(len(point) - 1, 0, -1):
+        terms = [(values + (y,), c) for values, y, c in _extend(terms, point[q], shifts[q])]
+    total = sum(c for _, _, c in _extend(terms, point[0], shifts[0]))
     return exact_div(total, _superproduct(len(point)))
 
 
 def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Each term (values, c) extended by y = t + k for k = 0..s, as
-    (values, y, c'): c' is c times (-1)^k binom(s, k) times y - x for every
-    x of values. A term with y among its values has product zero and is
-    dropped."""
+    (values, y, c'): c' is c times (-1)^k binom(s, k) times x - y for every
+    x of values, which belong to the coordinates after y's. A term with y
+    among its values has product zero and is dropped."""
     for k in range(s + 1):
         y = t + k
         w = -binom(s, k) if k % 2 else binom(s, k)
@@ -284,7 +280,7 @@ def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int,
             for x in values:
                 if x == y:
                     break
-                c *= y - x
+                c *= x - y
             else:
                 yield values, y, c
 
@@ -292,7 +288,7 @@ def _extend(terms: list, t: int, s: int) -> Iterator[tuple[tuple[int, ...], int,
 def mult_sum(i: GrassmannIndex, j: GrassmannIndex) -> int:
     """Multiplicity as the alternating Vandermonde sum, by its engine on a
     validated index's entries and their s_vector."""
-    return _vandermonde_sum({}, s_vector(i, j), i.entries)
+    return _vandermonde_sum(s_vector(i, j), i.entries)
 
 
 def mult_product(i: GrassmannIndex, j: GrassmannIndex) -> int:
@@ -444,8 +440,8 @@ def _sweep(
     by key for this call, in a _Memo that evaluates a class once, on its
     first lookup (s_q <= d - 1 - q leaves at most d! codes, each decoded
     once): the determinant by mult_det's column split, with a half-minor
-    memo per half for this call; the sum by its prefix-term engine, with a
-    prefix memo per cell; product and weyman by their engines on i, once
+    memo per half for this call; the sum by its own engine, which keeps
+    nothing between classes; product and weyman by their engines on i, once
     per i. Only when the recurrence is asked for is the lattice of I(d, n)
     built, once; its engine fills one value list by rank that each cell
     overwrites on the ranks of its up-set. Every column is read off its
@@ -478,7 +474,7 @@ def _sweep(
 
     tables = {
         route: checked(engine) for route, engine in (
-            (ROUTE_DETERMINANT, det), (ROUTE_SUM, lambda t, s: _vandermonde_sum(memo, s, t)),
+            (ROUTE_DETERMINANT, det), (ROUTE_SUM, lambda t, s: _vandermonde_sum(s, t)),
             (ROUTE_PRODUCT, lambda t, s: _product(t)), (ROUTE_WEYMAN, lambda t, s: _weyman(t)),
         )
     }
@@ -487,7 +483,7 @@ def _sweep(
         floors = [_floor(route, js) for route in routes]
         keys = _walk(weights, min(filter(None, floors)), tuples[-1], keyed) if any(floors) else []
         ranks = [key // base for key in keys] if keyed else keys
-        memo, columns = {}, []  # the sum's prefix memo lives for one cell
+        columns = []
         for route, floor in zip(routes, floors):
             if route == ROUTE_RECURRENCE:  # its floor is j, the walk's
                 _recurrence(lattice, js, ranks, rec_values)

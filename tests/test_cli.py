@@ -139,11 +139,11 @@ class TestCompute:
         assert out == ""
         assert err.startswith("internal error:")
 
-    @pytest.mark.parametrize("d, code", [(10, 6), (9, 0)])
-    def test_out_of_memory_exit_code(self, cli_env, d, code):
-        # The child caps its own address space, then runs the sum route on
-        # i = (2, 4, ..., 2d), j = (1, 3, ..., 2d-1): its prefix terms
-        # outgrow the cap at d = 10, and d = 9 fits under the same cap.
+    @pytest.mark.parametrize("n, code", [(10_000_000, 6), (100_000, 0)])
+    def test_out_of_memory_exit_code(self, cli_env, n, code):
+        # The child caps its own address space, then runs the recurrence on
+        # the d = 1 pair i = (n), j = (1): its lattice of n tuples outgrows
+        # the cap at n = 10**7, and n = 10**5 fits under the same cap.
         child = (
             "import resource, sys\n"
             "from grassmult.cli import main\n"
@@ -151,17 +151,16 @@ class TestCompute:
             "resource.setrlimit(resource.RLIMIT_AS, (120 * 2**20, hard))\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        i, j = range(2, 2 * d + 1, 2), range(1, 2 * d, 2)
         proc = subprocess.run(
-            [sys.executable, "-c", child, "compute", "--n", str(2 * d), "--route", "sum",
-             "--i", ",".join(map(str, i)), "--j", ",".join(map(str, j))],
+            [sys.executable, "-c", child, "compute", "--n", str(n), "--route", "recurrence",
+             "--i", str(n), "--j", "1"],
             capture_output=True, text=True, env=cli_env, timeout=60,
         )
         assert proc.returncode == code
         if code:
             assert (proc.stdout, proc.stderr) == ("", "error: out of memory\n")
         else:
-            row = f"{2 * d},{d},{'-'.join(map(str, i))},{'-'.join(map(str, j))},sum,1"
+            row = f"{n},1,{n},1,recurrence,1"
             assert (proc.stdout, proc.stderr) == (f"n,d,i,j,route,value\n{row}\n", "")
 
     def test_invalid_record_is_an_internal_error(self, capsys, monkeypatch):
@@ -325,18 +324,25 @@ class TestTable:
             s == multiplicity.s_vector(i, grassmult.validate(floor, 7)) for floor, i, s in walked
         )
 
-    def test_sum_memo_lives_for_one_cell(self, spy):
-        # Each class (i, s) is summed once per sweep, so only the 15 cells
-        # that meet a new class fill a prefix memo: 236 prefix terms,
-        # against 2 044 offset vectors of one Vandermonde product each.
-        sums, counts = spy("_vandermonde_sum", multiplicity), []
+    @pytest.mark.parametrize("d, n, terms", [(3, 7, 505), (4, 9, 8004)])
+    def test_sum_term_counts(self, monkeypatch, d, n, terms):
+        # Each class (i, s) is summed once per sweep, from its last
+        # coordinate to its first, and _extend yields each term it keeps:
+        # 505 and 8 004, where summing from the first coordinate with a
+        # prefix memo per cell made 501 and 9 661. Nothing is kept between
+        # sweeps, so a second sweep does the same work.
+        real, counts = multiplicity._extend, []
+
+        def counted(*args):
+            for term in real(*args):
+                counts[-1] += 1
+                yield term
+
+        monkeypatch.setattr(multiplicity, "_extend", counted)
         for _ in range(2):
-            run_table(d=3, n=7, routes=("sum",))
-            cells = memos(sums)
-            terms = sum(len(prefix) for memo in cells for prefix in memo.values())
-            counts.append((len(cells), terms))
-            sums.clear()
-        assert counts == [(15, 236), (15, 236)]
+            counts.append(0)
+            run_table(d=d, n=n, routes=("sum",))
+        assert counts == [terms] * 2
 
     @pytest.mark.parametrize("d, n, products, weymans", [(3, 7, 10, 35), (4, 9, 15, 126)])
     def test_product_and_weyman_evaluated_once_per_i(self, spy, d, n, products, weymans):
@@ -392,32 +398,42 @@ class TestTable:
         )
 
     def test_table_rec_par_digest(self):
-        # The table_rec_par gate of the layered benchmark, under the
-        # benchmark's --jobs 2 and under one job.
-        for jobs in (1, 2):
-            out = "".join(run_table(d=4, n=10, routes=("recurrence",), jobs=jobs))
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-                "d2c144ed8dc7d17998d56260756c78fe0be06abc57ffe442ef51118ea9de4fbc"
-            )
+        # The table_rec_par gate of the layered benchmark.
+        out = "".join(run_table(d=4, n=10, routes=("recurrence",)))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "d2c144ed8dc7d17998d56260756c78fe0be06abc57ffe442ef51118ea9de4fbc"
+        )
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="--jobs"):
-            run_table(d=1, n=3, jobs=0)
+    def test_rejects_bad_jobs(self, capsys, spy):
+        # The table command checks --jobs itself, before any sweep: exit 2
+        # and one line. A float or bool count is refused by the parser, also
+        # with exit 2, never coerced.
+        sweeps = spy("_sweep", cli)
+        for jobs in ("0", "-1"):
+            assert run_cli(capsys, "table", "--d", "1", "--n", "3", "--jobs", jobs) == (
+                2, "", f"error: --jobs must be >= 1, got {jobs}\n"
+            )
+        for jobs in ("2.0", "True"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["table", "--d", "1", "--n", "3", "--jobs", jobs])
+            assert exit_info.value.code == 2
+            assert f"invalid int value: '{jobs}'" in capsys.readouterr().err
+        assert sweeps == []
 
     @pytest.mark.parametrize(
         "option, match",
         [
-            ({"jobs": 2.0}, "--jobs"), ({"jobs": True}, "--jobs"), ({"fmt": "CSV"}, "--format"),
+            ({"fmt": "CSV"}, "--format"),
             ({"routes": ("determinant",) * 2}, "--route"), ({"routes": ("nope",)}, "unknown"),
             ({"force": "no", "n": 13}, "--force"),
         ],
-        ids=["float-jobs", "bool-jobs", "upper-format", "repeated-route", "unknown-route", "str-force"],
+        ids=["upper-format", "repeated-route", "unknown-route", "str-force"],
     )
     def test_rejects_coerced_arguments(self, option, match):
-        # A float or bool worker count is refused, never coerced, and so is
-        # any format but csv or json, which would otherwise render as json.
-        # A repeated route would write each of its rows twice. A force that
-        # is not a bool, however truthy, would pass the size guard.
+        # Any format but csv or json is refused, never coerced, as it would
+        # otherwise render as json. A repeated route would write each of its
+        # rows twice. A force that is not a bool, however truthy, would pass
+        # the size guard.
         with pytest.raises(ValueError, match=match):
             run_table(**{"d": 1, "n": 3, **option})
 
@@ -427,7 +443,7 @@ class TestTable:
         # empty list would make a table of its header alone.
         lattices = spy("_lattice", multiplicity)
         with pytest.raises(ValueError, match="^--route .*unknown"):
-            run_table(3, 7, routes, jobs=2)
+            run_table(3, 7, routes)
         assert lattices == []
 
     @pytest.mark.parametrize("routes", [(route,) for route in multiplicity.ROUTES] + [multiplicity.ROUTES])
@@ -587,20 +603,22 @@ class TestTable:
     @pytest.mark.parametrize("d, n, routes", [
         (4, 9, multiplicity.ROUTES), (4, 10, ("recurrence",)), (4, 11, ("determinant",)),
     ])
-    def test_peak_memory_is_bounded_by_the_output(self, d, n, routes, jobs):
+    def test_peak_memory_is_bounded_by_the_output(self, tmp_path, d, n, routes, jobs):
         # The table holds values until an index's rows are complete, then
-        # renders them: its peak stays under 3x the output, where rows held
-        # as texts until the end peaked near 6x. The determinant table peaks
-        # near 1.3x; filing each row's text in place of its value peaked
-        # near 1.75x.
+        # renders them: the table command's peak, under either --jobs,
+        # stays under 3x the output, where rows held as texts until the end
+        # peaked near 6x. The determinant table peaks near 1.3x; filing each
+        # row's text in place of its value peaked near 1.75x.
+        out = tmp_path / "table.csv"
+        argv = ["table", "--d", str(d), "--n", str(n), "--jobs", str(jobs), "--out", str(out)]
         tracemalloc.start()
         try:
-            pieces = run_table(d, n, routes, jobs=jobs)
+            assert main(argv + [arg for route in routes for arg in ("--route", route)]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         bound = 1.5 if routes == ("determinant",) else 3
-        assert peak < bound * len("".join(pieces).encode("utf-8"))
+        assert peak < bound * out.stat().st_size
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("routes", [
@@ -610,7 +628,7 @@ class TestTable:
     def test_rows_match_a_reference_renderer(self, routes, fmt):
         # The table against a document built pair by pair from the library's
         # evaluator and scope, with CSV rows spelled out and JSON written by
-        # json.dumps, under one job and two.
+        # json.dumps.
         for n in range(1, 7):
             for d in range(1, min(n, 3) + 1):
                 cells = list(grassmult.enumerate_indices(d, n))
@@ -627,8 +645,7 @@ class TestTable:
                     )
                 else:
                     expected = json.dumps(rows, indent=2) + "\n"
-                for jobs in (1, 2):
-                    assert "".join(run_table(d, n, routes, fmt, jobs)) == expected, (d, n, jobs)
+                assert "".join(run_table(d, n, routes, fmt)) == expected, (d, n)
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(
@@ -726,7 +743,7 @@ class TestVerify:
     def test_route_table_catches_a_wrong_route(self, monkeypatch):
         true_sum = multiplicity._vandermonde_sum
         monkeypatch.setattr(
-            multiplicity, "_vandermonde_sum", lambda memo, s, t: true_sum(memo, s, t) + 1
+            multiplicity, "_vandermonde_sum", lambda s, t: true_sum(s, t) + 1
         )
         report = run_verification(2, 4)
         assert report["ok"] is False
@@ -847,6 +864,23 @@ def test_every_sweep_command_checks_its_values(capsys, monkeypatch, argv):
     assert run_cli(capsys, *argv) == (
         5, "", "internal error: multiplicity must be >= 1, got 0\n"
     )
+
+
+@pytest.mark.parametrize("exc", [TypeError, IndexError, ZeroDivisionError])
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "4", "--i", "2,4", "--j", "1,2", "--route", "sum"),
+    ("table", "--d", "2", "--n", "4", "--route", "sum"),
+    ("verify", "--d", "2", "--n", "4"),
+    ("bench", "--d", "2", "--n", "4", "--route", "sum"),
+], ids=lambda argv: argv[0])
+def test_any_escaping_exception_is_an_internal_error(capsys, monkeypatch, argv, exc):
+    # An exception that no input check raised is a bug: exit 5 and one
+    # line, never verify's exit 1 for a mismatch, and no traceback.
+    def broken(*args):
+        raise exc("broken engine")
+
+    monkeypatch.setattr(multiplicity, "_vandermonde_sum", broken)
+    assert run_cli(capsys, *argv) == (5, "", f"internal error: {exc.__name__}: broken engine\n")
 
 
 @pytest.mark.parametrize("route, engine, broken", [

@@ -372,6 +372,21 @@ class TestSumRoute:
         i, j = pair
         assert mult_sum(i, j) == mult_det(i, j)
 
+    def test_holds_one_level_of_terms(self):
+        # i = (2, 4, ..., 16), j = (1, 3, ..., 15) has shifts (7, 6, ..., 0).
+        # Summed from the last coordinate, each level carries the smaller
+        # shifts and the first coordinate is only summed: the peak is about
+        # 0.3 MB, where stored prefix terms of the largest shifts took 3.3 MB.
+        i, j = validate(tuple(range(2, 17, 2)), 16), validate(tuple(range(1, 16, 2)), 16)
+        tracemalloc.start()
+        try:
+            value = mult_sum(i, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s_vector(i, j), value) == ((7, 6, 5, 4, 3, 2, 1, 0), 1)
+        assert peak < 1_000_000
+
 
 class TestFrobenius:
     def test_examples(self):
