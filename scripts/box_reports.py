@@ -24,34 +24,34 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def wrong_binom(binom):
-    """binom off by one at k = 0 for n = 2 mod 5; the same wrong binomial
-    as the failure-path test of tests/test_difference.py."""
+    """binom off by one at k = 0 for n = 2 mod 5, which the failure-path
+    tests of tests/test_difference.py patch in too."""
     return lambda n, k: binom(n, k) + (k == 0 and n % 5 == 2)
 
 
-def section() -> None:
-    """Print one line per case and the sha256 of those lines."""
-    from child import BOX, CASES
-
+def section(cases, box: tuple[int, int]) -> list[str]:
+    """One line per case (shifts, q) of cases, with the fields of the
+    reports of check_difference_eq(shifts, box) and check_shift_identity(
+    shifts, q, box), then the sha256 of those lines."""
     from grassmult import check_difference_eq, check_shift_identity
 
-    digest = hashlib.sha256()
-    for shifts, q in CASES:
-        reports = (check_difference_eq(shifts, BOX), check_shift_identity(shifts, q, BOX))
+    lines = []
+    for shifts, q in cases:
+        reports = (check_difference_eq(shifts, box), check_shift_identity(shifts, q, box))
         fields = [(r.ok, r.points_checked, r.witness, r.lhs, r.rhs) for r in reports]
-        line = f"{shifts} {q} {fields}"
-        digest.update(line.encode() + b"\n")
-        print(line)
-    print(digest.hexdigest())
+        lines.append(f"{shifts} {q} {fields}")
+    return lines + [hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()]
 
 
 def main(argv: list[str]) -> int:
     sys.path[:0] = [argv[0] if argv else str(ROOT / "src"), str(ROOT / "perfbench")]
+    from child import BOX, CASES
+
     from grassmult import difference, matrices
 
-    section()
+    print(*section(CASES, BOX), sep="\n")
     difference.binom = matrices.binom = wrong_binom(matrices.binom)
-    section()
+    print(*section(CASES, BOX), sep="\n")
     return 0
 
 

@@ -5,12 +5,14 @@ table --jobs N is checked (an int >= 1) and changes nothing: every sweep
 runs in the one process, in cell order.
 
 Exit codes: 0 success, 1 verification found a mismatch, 2 invalid input
-or output that cannot be written, 3 requested route not applicable to
-the pair, 4 n exceeds the size guard GUARD = 12 (override with --force),
-5 internal error (an exact division left a remainder, a computed value
-broke an invariant, or any other exception escaped), 6 out of memory,
+(an option the parser refuses included) or output that cannot be
+written, 3 requested route not applicable to the pair, 4 n exceeds the
+size guard GUARD = 12 (override with --force), 5 internal error (any
+exception that no input check raised, such as an exact division that
+left a remainder or a value that broke an invariant), 6 out of memory,
 130 interrupted (SIGINT), 141 stdout closed by its reader (as by
-SIGPIPE).
+SIGPIPE). Exits 2 to 6 each write one stderr line and no stdout:
+"error: <message>", or "internal error: <Type>: <message>" for exit 5.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from itertools import repeat
 from math import comb
 from operator import add
 
-from .arith import InexactDivisionError, _Memo, _require_int, binom, factorial_superproduct
+from .arith import _Memo, _require_int, binom, factorial_superproduct
 from .difference import check_difference_eq, check_shift_identity
 from .indices import _require_dims, enumerate_indices, validate
 from .matrices import build_shifted_vandermonde_matrix, determinant_bareiss, vandermonde
 from .multiplicity import (
     ROUTE_DETERMINANT,
     ROUTES,
-    InvariantError,
     RouteInapplicableError,
     _evaluate,
     _refusal,
@@ -52,6 +53,15 @@ _consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothin
 
 class GuardExceededError(ValueError):
     """The requested sweep is larger than the size guard allows."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises what it refuses as ValueError, so that
+    main reports it as it reports any bad input; its subparsers share the
+    class."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grassmult",
         description="Exact multiplicities of points on Schubert varieties in Grassmannians.",
     )
@@ -407,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         out = args.out
         if out == "":  # refused here, as _emit would write it to stdout
             raise ValueError("--out needs a path, got ''")
@@ -422,9 +432,6 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"cannot write {out}: {exc.strerror}") from None
         return args.func(args)
-    except (InexactDivisionError, InvariantError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {GuardExceededError: 4, RouteInapplicableError: 3}.get(type(exc), 2)

@@ -213,25 +213,26 @@ def _weights(d: int, n: int) -> list[list[int]]:
              for e in range(n + 1)] for q in range(d)]
 
 
-def _walk(weights: list, floor: tuple[int, ...], ceil: tuple[int, ...], keyed: bool) -> list[int]:
-    """The strictly increasing t with floor <= t <= ceil componentwise, for
-    strictly increasing floor and ceil, as increasing int keys: the rank of
-    t (weights from _weights), or when keyed that rank times d**d plus
-    sum_q s_q d**q, s the s_vector of t above floor. A digit fits, as
-    s_q <= d - 1 - q. Each key is a sum of one table entry per coordinate,
-    K_q[e] = W_q[e] d**d + (d - bisect_right(floor, e)) d**q, so the walk
+def _walk(weights: list, floor: tuple[int, ...], keyed: bool) -> list[int]:
+    """The t of I(d, n) with floor <= t componentwise, for strictly
+    increasing floor, as increasing int keys: the rank of t (weights from
+    _weights(d, n), whose rows of n + 1 entries give n), or when keyed that
+    rank times d**d plus sum_q s_q d**q, s the s_vector of t above floor.
+    A digit fits, as s_q <= d - 1 - q. Each key is a sum of one table entry
+    per coordinate, K_q[e] = W_q[e] d**d + (d - bisect_right(floor, e)) d**q
+    for e from floor_q to the top's n - d + q + 1 (0-based q), so the walk
     builds suffixes from the last coordinate to the first, grouped by first
     value: level q adds K_q[e] to the suffixes whose first value exceeds e,
     a tail of the level before, in one list comprehension per (q, e), which
     leaves every level in lexicographic order. It makes no value: _sweep
     checks a formula value once, when its class is evaluated, and the
     recurrence column by its least value."""
-    d, keys, head = len(floor), [0], {}  # the empty suffix, above every value
+    d, n, keys, head = len(floor), len(weights[0]) - 1, [0], {}  # the empty suffix, above every value
     base = d**d if keyed else 1
-    count = [d - bisect_right(floor, v) for v in range(ceil[-1] + 1)] if keyed else [0] * (ceil[-1] + 1)
+    count = [d - bisect_right(floor, v) for v in range(n + 1)] if keyed else [0] * (n + 1)
     for q in range(d - 1, -1, -1):
         table, level, at, place = weights[q], [], {}, d**q
-        for e in range(floor[q], ceil[q] + 1):
+        for e in range(floor[q], n - d + q + 2):
             at[e], k = len(level), table[e] * base + count[e] * place
             level += [k + key for key in keys[head.get(e + 1, 0):]]
         keys, head = level, at
@@ -481,7 +482,7 @@ def _sweep(
     for c in cells:
         js = tuples[c]
         floors = [_floor(route, js) for route in routes]
-        keys = _walk(weights, min(filter(None, floors)), tuples[-1], keyed) if any(floors) else []
+        keys = _walk(weights, min(filter(None, floors)), keyed) if any(floors) else []
         ranks = [key // base for key in keys] if keyed else keys
         columns = []
         for route, floor in zip(routes, floors):

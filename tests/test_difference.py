@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import importlib.util
 from functools import cache
 from itertools import combinations, product
@@ -326,10 +325,18 @@ class TestBoxValues:
         assert all(calls == [] for calls in op_calls.values())
 
 
-def wrong_binom(n: int, k: int) -> int:
-    """binom off by one at k = 0 for n = 2 mod 5; scripts/box_reports.py
-    patches in the same one."""
-    return binom(n, k) + (k == 0 and n % 5 == 2)
+def repo_module(*parts: str):
+    """A file of this repository, such as perfbench/child.py, loaded as a
+    module."""
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BOX_REPORTS = repo_module("scripts", "box_reports.py")
+wrong_binom = BOX_REPORTS.wrong_binom(binom)
 
 
 def pointwise_report(
@@ -407,43 +414,23 @@ class TestFailurePath:
         assert not all(report.ok for report in reports)
 
 
-def benchmark_child():
-    """perfbench/child.py, loaded as a module for its CASES and BOX."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child
-
-
 class TestBoxReports:
     def test_benchmark_sample_reports_are_golden(self, monkeypatch):
         # Every 25th box_identities case, 100 of 2 500, through both
-        # checks, first as they are and then under wrong_binom, one line
-        # per case as scripts/box_reports.py prints it. The sha256 of each
-        # section pins every report, witnesses and sides included, on the
-        # benchmark's own box.
-        child = benchmark_child()
-        digests, failed = [], []
-        for wrong in (False, True):
-            if wrong:
-                monkeypatch.setattr(difference, "binom", wrong_binom)
-                monkeypatch.setattr(matrices, "binom", wrong_binom)
-            digest = hashlib.sha256()
-            for shifts, q in child.CASES[::25]:
-                reports = (
-                    check_difference_eq(shifts, child.BOX),
-                    check_shift_identity(shifts, q, child.BOX),
-                )
-                fields = [(r.ok, r.points_checked, r.witness, r.lhs, r.rhs) for r in reports]
-                digest.update(f"{shifts} {q} {fields}\n".encode())
-                failed += [not r.ok for r in reports]
-            digests.append(digest.hexdigest())
-        assert digests == [
+        # checks, first as they are and then under wrong_binom, as sections
+        # of scripts/box_reports.py. The sha256 that ends each section pins
+        # every report, witnesses and sides included, on the benchmark's own
+        # box. Only the second section has a failed check.
+        child = repo_module("perfbench", "child.py")
+        sections = [BOX_REPORTS.section(child.CASES[::25], child.BOX)]
+        monkeypatch.setattr(difference, "binom", wrong_binom)
+        monkeypatch.setattr(matrices, "binom", wrong_binom)
+        sections.append(BOX_REPORTS.section(child.CASES[::25], child.BOX))
+        assert [lines[-1] for lines in sections] == [
             "fda9ac037676d6169ff8fcc8a634c1438d13e5c6e1f0c790dc48ceaf0bdf5303",
             "cb9365312e13ad1fb1f7f341b2e7fc44e3aa77029e0716aa96fb9cd96c4c599b",
         ]
-        assert sum(failed[:200]) == 0 < sum(failed[200:])
+        assert [any("(False," in line for line in lines) for lines in sections] == [False, True]
 
 
 class TestHalfMinors:

@@ -10,22 +10,21 @@ against two facts of geometry, which share no arithmetic with any route.
   j' when j <= j', so mult(i, j) >= mult(i, j') for j <= j' <= i. Each
   covering move up from j that stays <= i is checked.
 
-I(d, n) is listed here by itertools in the lexicographic order that the
-sweep's ranks number. No helper of the package is used but the values under
-test: the sweep for every pair with n <= 8, and mult_det and mult_rec on
-GrassmannIndex pairs for single pairs with n <= 14.
+I(d, n) is listed by itertools, in strategies.sweep_values, in the
+lexicographic order that the sweep's ranks number. No helper of the package
+is used but the values under test: the sweep for every pair with n <= 8,
+and mult_det and mult_rec on GrassmannIndex pairs for single pairs with
+n <= 14.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
-from strategies import index_pairs
+from strategies import index_pairs, sweep_values
 
 from grassmult.indices import GrassmannIndex
-from grassmult.multiplicity import _sweep, mult_det, mult_rec
+from grassmult.multiplicity import mult_det, mult_rec
 
 ROUTES = ("determinant", "recurrence")
 
@@ -53,21 +52,10 @@ def covering_moves_up(j: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return [j[:q] + (j[q] + 1,) + j[q + 1:] for q in range(len(j)) if j[q] + 1 < bounds[q]]
 
 
-def sweep_values(d: int, n: int) -> tuple[list, dict]:
-    """The cells of I(d, n) and, per route, its value on each pair (i, j)."""
-    cells = list(combinations(range(1, n + 1), d))
-    values: dict = {route: {} for route in ROUTES}
-    for j, (ranks, columns) in zip(cells, _sweep(d, n, range(len(cells)), ROUTES)):
-        for route, column in zip(ROUTES, columns):
-            covered = ranks[len(ranks) - len(column):]
-            values[route].update(((cells[r], j), v) for r, v in zip(covered, column))
-    return cells, values
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_values_obey_geometry(n):
     for d in range(1, n + 1):
-        cells, values = sweep_values(d, n)
+        cells, values = sweep_values(d, n, ROUTES)
         for j in cells:
             tangents, ups = tangent_moves(j, n), covering_moves_up(j, n)
             for i in cells:

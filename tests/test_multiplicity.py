@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import index_pairs
+from strategies import index_pairs, sweep_values
 
 from grassmult.arith import factorial_superproduct
 from grassmult.difference import eval_poly
@@ -178,13 +178,13 @@ class TestDeterminantSweep:
         for n in range(1, 9):
             for d in range(1, n + 1):
                 cells = [j.entries for j in enumerate_indices(d, n)]
-                top, weights = cells[-1], multiplicity._weights(d, n)
+                weights = multiplicity._weights(d, n)
                 floors = {multiplicity._floor(route, j) for route in ROUTES for j in cells}
                 for floor in floors - {None}:
                     ups = [r for r, t in enumerate(cells) if all(map(le, floor, t))]
-                    keys = multiplicity._walk(weights, floor, top, True)
+                    keys = multiplicity._walk(weights, floor, True)
                     assert [key // d**d for key in keys] == ups
-                    assert multiplicity._walk(weights, floor, top, False) == ups
+                    assert multiplicity._walk(weights, floor, False) == ups
                     for key in keys:
                         shifts = tuple(key // d**q % d for q in range(d))
                         assert shifts == s_vector(validate(cells[key // d**d], n), validate(floor, n))
@@ -228,24 +228,16 @@ class TestDuality:
         # The routes check one another within one (d, n). Duality
         # Gr(d, n) = Gr(n - d, n) keeps the multiplicity of a pair (i, j) at
         # (i*, j*), so it tests the index conventions across dimensions.
-        def columns(d, n):
-            cells = list(enumerate_indices(d, n))
-            routes = ("determinant", "recurrence", "sum")
-            return {
-                (cells[r].entries, j.entries): values
-                for j, (ranks, cols) in zip(cells, _sweep(d, n, range(len(cells)), routes))
-                for r, *values in zip(ranks, *cols)
-            }
-
+        routes = ("determinant", "recurrence", "sum")
         for n in range(2, 10):
-            sweeps = {d: columns(d, n) for d in range(1, n)}
+            sweeps = {d: sweep_values(d, n, routes)[1] for d in range(1, n)}
             for d, here in sweeps.items():
                 there = sweeps[n - d]
-                assert len(here) == len(there)
-                for (i, j), (det, _, summed) in here.items():
-                    dual_det, dual_rec, _ = there[dual(i, n), dual(j, n)]
-                    assert det == dual_rec
-                    assert summed == dual_det
+                assert len(here["determinant"]) == len(there["determinant"])
+                for (i, j), det in here["determinant"].items():
+                    duals = dual(i, n), dual(j, n)
+                    assert det == there["recurrence"][duals]
+                    assert here["sum"][i, j] == there["determinant"][duals]
 
     @given(index_pairs(max_n=14, max_d=13).filter(lambda pair: pair[0].d < pair[0].n))
     @settings(max_examples=100, deadline=None)
