@@ -823,6 +823,11 @@ BROKEN_ENGINES = {
 @pytest.mark.parametrize("argv, engine, broken, line", [
     *(pytest.param(sweep_argv(command, route), engine, broken, BELOW_ONE, id=f"{command}-{route}")
       for route, (engine, broken) in BROKEN_ENGINES.items() for command in ("table", "verify", "bench")),
+    # exact_div, which the recurrence, sum and product share, broken under
+    # a table of every route, and under an accepted but inert --jobs.
+    pytest.param(sweep_argv("table", "all"), "exact_div", lambda a, b: 0, BELOW_ONE, id="table-exact_div"),
+    pytest.param((*sweep_argv("table", "recurrence"), "--jobs", "2"), "exact_div", lambda a, b: 0,
+                 BELOW_ONE, id="table-jobs2"),
     pytest.param((*COMPUTE, "determinant"), "mult_det", lambda i, j: 0, BELOW_ONE,
                  id="compute-InvariantError"),
     pytest.param((*COMPUTE, "determinant"), "mult_det",
